@@ -21,6 +21,7 @@ import (
 	"searchmem/internal/experiments"
 	"searchmem/internal/mem"
 	"searchmem/internal/obs"
+	"searchmem/internal/platform"
 	"searchmem/internal/serving"
 	"searchmem/internal/stats"
 	"searchmem/internal/trace"
@@ -150,6 +151,32 @@ func benchLeafTrace(b testing.TB) []trace.Access {
 	return leafTrace
 }
 
+// smtTrace memoizes a 16-thread recording of the capacity-sweep leaf: the
+// threads run two per core, so they occupy 8 cores of a larger hierarchy.
+var (
+	smtTraceOnce sync.Once
+	smtTrace     []trace.Access
+)
+
+func benchSMTTrace(b testing.TB) []trace.Access {
+	b.Helper()
+	smtTraceOnce.Do(func() {
+		r := workload.S1LeafSweep(8).Build()
+		r.Run(16, 1_500_000, 1, workload.Sinks{Access: func(a trace.Access) {
+			smtTrace = append(smtTrace, a)
+		}})
+	})
+	return smtTrace
+}
+
+// inclusive23Config is the sweep-scale PLT1 design with 23 two-way SMT
+// cores and a 23 MiB (paper units) inclusive L3: every L3 eviction
+// back-invalidates the private caches, and most cores hold no lines.
+func inclusive23Config() HierarchyConfig {
+	plat := platform.PLT1().ScaleCaches(workload.SweepScale)
+	return plat.HierarchyWithL3Size(23, 2, workload.SimUnits(23<<20))
+}
+
 // benchHierarchyConfig is the shared L1+L2+L3 configuration of the kernel
 // microbenchmarks.
 func benchHierarchyConfig() HierarchyConfig {
@@ -182,21 +209,7 @@ func BenchmarkHierarchyAccess(b *testing.B) {
 		}
 	})
 	b.Run("batched", func(b *testing.B) {
-		h := NewHierarchy(benchHierarchyConfig())
-		v := sh.View()
-		b.ResetTimer()
-		for done := 0; done < b.N; {
-			batch := v.NextBatch()
-			if len(batch) == 0 {
-				v.Rewind()
-				continue
-			}
-			if rem := b.N - done; len(batch) > rem {
-				batch = batch[:rem]
-			}
-			h.AccessBatch(batch, nil)
-			done += len(batch)
-		}
+		benchBatched(b, sh, benchHierarchyConfig())
 	})
 	// The predictor-off/predictor-on pair prices the level predictor's
 	// bookkeeping in the batched kernel on the deep (L4-backed) hierarchy
@@ -220,26 +233,20 @@ func BenchmarkHierarchyAccess(b *testing.B) {
 		benchBatched(b, sh, cfg)
 		b.ReportMetric(skip, "probe-skip-rate")
 	})
+	// The many-core inclusive design the capacity sweeps replay: 16
+	// threads on 8 of 23 cores, so the cost of inclusive back-invalidation
+	// shows next to the 2-core rows above.
+	b.Run("inclusive-23core", func(b *testing.B) {
+		benchBatched(b, trace.NewShared(benchSMTTrace(b)), inclusive23Config())
+	})
 }
 
 // benchBatched drives the batched kernel over the shared trace for b.N
 // accesses and returns the hierarchy for metric reporting.
 func benchBatched(b *testing.B, sh *trace.Shared, cfg HierarchyConfig) *Hierarchy {
 	h := NewHierarchy(cfg)
-	v := sh.View()
 	b.ResetTimer()
-	for done := 0; done < b.N; {
-		batch := v.NextBatch()
-		if len(batch) == 0 {
-			v.Rewind()
-			continue
-		}
-		if rem := b.N - done; len(batch) > rem {
-			batch = batch[:rem]
-		}
-		h.AccessBatch(batch, nil)
-		done += len(batch)
-	}
+	replayN(sh.View(), b.N, func(batch []trace.Access) { h.AccessBatch(batch, nil) })
 	return h
 }
 
@@ -418,11 +425,11 @@ func BenchmarkReplayerReplay(b *testing.B) {
 // BenchmarkMultiSim measures a 8-configuration capacity sweep over one
 // shared trace: draining each hierarchy independently (the trace streams
 // from memory once per configuration) vs the single-pass MultiSim driver
-// (once total). Both produce bit-identical stats; ns/op is per simulated
-// access per configuration.
+// (once total). Both produce bit-identical stats. Each iteration replays
+// one trace access through every configuration; ns/op is reported per
+// simulated access per configuration.
 func BenchmarkMultiSim(b *testing.B) {
-	tr := benchLeafTrace(b)
-	sh := trace.NewShared(tr)
+	sh := trace.NewShared(benchLeafTrace(b))
 	const nConfigs = 8
 	mkHierarchies := func() []*cache.Hierarchy {
 		hs := make([]*cache.Hierarchy, nConfigs)
@@ -433,37 +440,40 @@ func BenchmarkMultiSim(b *testing.B) {
 		}
 		return hs
 	}
+	perConfig := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/nConfigs, "ns/op")
+	}
 	b.Run("independent", func(b *testing.B) {
 		hs := mkHierarchies()
 		b.ResetTimer()
-		for done := 0; done < b.N; {
-			n := len(tr) * nConfigs
-			if rem := b.N - done; rem < n {
-				n = rem
-			}
-			per := n / nConfigs
-			if per == 0 {
-				per = 1
-			}
-			for _, h := range hs {
-				h.DrainBatch(sh.View())
-				_ = per
-			}
-			done += n
+		for _, h := range hs {
+			replayN(sh.View(), b.N, func(batch []trace.Access) { h.AccessBatch(batch, nil) })
 		}
+		perConfig(b)
 	})
 	b.Run("multisim", func(b *testing.B) {
 		ms := cache.NewMultiSim(mkHierarchies()...)
 		b.ResetTimer()
-		for done := 0; done < b.N; {
-			n := len(tr) * nConfigs
-			if rem := b.N - done; rem < n {
-				n = rem
-			}
-			ms.Drain(sh.View())
-			done += n
-		}
+		replayN(sh.View(), b.N, ms.DrainSlice)
+		perConfig(b)
 	})
+}
+
+// replayN feeds exactly n accesses of v, rewinding at its end, to consume
+// in zero-copy windows.
+func replayN(v *trace.View, n int, consume func([]trace.Access)) {
+	for done := 0; done < n; {
+		batch := v.NextBatch()
+		if len(batch) == 0 {
+			v.Rewind()
+			continue
+		}
+		if rem := n - done; len(batch) > rem {
+			batch = batch[:rem]
+		}
+		consume(batch)
+		done += len(batch)
+	}
 }
 
 // --- tiered main-memory kernel benchmarks (DESIGN.md §14) ---
