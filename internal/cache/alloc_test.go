@@ -54,9 +54,9 @@ func TestCacheAccessBatchZeroAlloc(t *testing.T) {
 // L2s, fully-associative levels), both with nil levels and with a
 // caller-provided cap-sized levels slice (the documented no-growth contract).
 func TestHierarchyAccessBatchZeroAlloc(t *testing.T) {
-	batch := batchEquivTrace(12, 4096, 2)
 	cfgs := equivConfigs()
 	for _, name := range det.SortedKeys(cfgs) {
+		batch := batchEquivTrace(12, 4096, max(2, cfgs[name].Cores))
 		h := NewHierarchy(cfgs[name])
 		requireZeroAllocs(t, name+"/nil-levels", func() {
 			h.AccessBatch(batch, nil)

@@ -56,6 +56,8 @@ type cacheSnap struct {
 	PSEL   int32
 	DB     []uint8
 	FAList []Line // fully-associative store in recency order
+	// Sharers is the inclusive L3's core-presence masks (nil elsewhere).
+	Sharers []uint64
 }
 
 func snapCache(c *Cache) cacheSnap {
@@ -69,6 +71,7 @@ func snapCache(c *Cache) cacheSnap {
 		DB:    append([]uint8(nil), c.db...),
 	}
 	s.Stamps = append([]uint64(nil), c.stamps...)
+	s.Sharers = append([]uint64(nil), c.sharers...)
 	s.Meta = append([]uint8(nil), c.meta...)
 	if c.assoc == 0 {
 		for idx := c.faHead; idx >= 0; idx = c.faNodes[idx].next {
@@ -163,6 +166,8 @@ func equivConfigs() map[string]HierarchyConfig {
 	pb := withPolicy(SRRIP)
 	pb.Predictor = &PredictorConfig{TableBits: 8, ConfThreshold: 1, Seed: 9, IndexBlock: true}
 	cfgs["predblock"] = pb
+	// 65 cores: the inclusive L3's core-presence masks span two words.
+	cfgs["cores65"] = tinyHierarchy(65, nil)
 	return cfgs
 }
 
@@ -170,9 +175,10 @@ func equivConfigs() map[string]HierarchyConfig {
 // path and through AccessBatch at several batch sizes, requiring identical
 // HitLevel sequences and bit-identical end state.
 func TestBatchedHierarchyEquivalence(t *testing.T) {
-	tr := batchEquivTrace(42, 20000, 4)
 	for name, cfg := range equivConfigs() {
 		t.Run(name, func(t *testing.T) {
+			// At least one thread per core, so every core holds lines.
+			tr := batchEquivTrace(42, 20000, max(4, cfg.Cores))
 			ref := NewHierarchy(cfg)
 			refLevels := make([]HitLevel, 0, len(tr))
 			for _, a := range tr {

@@ -294,6 +294,17 @@ type Cache struct {
 
 	rng *stats.RNG
 
+	// Core-presence masks (nil unless trackSharers enabled them; only an
+	// inclusive shared L3 has them): slot i's mask is the sharerWords
+	// uint64 words at sharers[i*sharerWords:], bit k naming core k. A bit
+	// is set when its core's private caches fill from this slot and is
+	// cleared only when the slot is refilled, so the mask is a superset of
+	// the cores that hold the block. A fill that evicts a valid line moves
+	// the victim's mask into evSharers before the OnEvict call.
+	sharers     []uint64
+	evSharers   []uint64
+	sharerWords int
+
 	// Stats accumulates demand hit/miss counts.
 	Stats AccessStats
 
@@ -602,6 +613,7 @@ func (c *Cache) fillAbsent(block uint64, seg trace.Segment, dirty bool) (evicted
 	}
 	c.clock++
 	i := base + victim
+	c.refillSharers(i, ok)
 	c.tags[i] = block
 	if c.isRRIP {
 		c.stamps[i] = c.rripInsert(set, block)
@@ -653,6 +665,53 @@ func (c *Cache) rripInsert(set int, block uint64) uint64 {
 		ins = rrpvMax
 	}
 	return ins
+}
+
+// trackSharers gives every slot a core-presence mask wide enough for cores
+// cores (one uint64 per 64 cores).
+func (c *Cache) trackSharers(cores int) {
+	c.sharerWords = (cores + 63) / 64
+	slots := len(c.tags)
+	if c.assoc == 0 {
+		slots = c.faCap
+	}
+	c.sharers = make([]uint64, slots*c.sharerWords)
+	c.evSharers = make([]uint64, c.sharerWords)
+}
+
+// addSharer sets core's bit in the mask of the slot holding block, which
+// must be resident. The hierarchy calls it right after probing or filling
+// block, so the line buffer usually names the slot without a set scan.
+func (c *Cache) addSharer(block uint64, core int) {
+	if c.sharers == nil {
+		return
+	}
+	var slot int
+	switch {
+	case c.assoc == 0:
+		slot = int(c.faIndex[block])
+	case block == c.lastBlock:
+		slot = int(c.lastIdx)
+	default:
+		base := c.setBase(block)
+		slot = base + c.findWay(base, block)
+	}
+	c.sharers[slot*c.sharerWords+core>>6] |= 1 << (core & 63)
+}
+
+// refillSharers zeroes slot's core-presence mask ahead of a fill, first
+// moving it into evSharers when the slot's valid line is being evicted.
+func (c *Cache) refillSharers(slot int, evicting bool) {
+	if c.sharers == nil {
+		return
+	}
+	m := c.sharers[slot*c.sharerWords : (slot+1)*c.sharerWords]
+	if evicting {
+		copy(c.evSharers, m)
+	}
+	for w := range m {
+		m[w] = 0
+	}
 }
 
 // Invalidate removes block if present, returning its line. Used for
@@ -725,6 +784,9 @@ func (c *Cache) Reset() {
 	for i := range c.db {
 		c.db[i] = 0
 	}
+	for i := range c.sharers {
+		c.sharers[i] = 0
+	}
 	if c.assoc == 0 {
 		c.faIndex = make(map[uint64]int32, c.faCap)
 		c.faNodes = c.faNodes[:0]
@@ -785,6 +847,7 @@ func (c *Cache) faFill(block uint64, seg trace.Segment, dirty bool) (evicted Lin
 		victim := c.faTail
 		evicted = c.faNodes[victim].line
 		ok = true
+		c.refillSharers(int(victim), true)
 		c.faRemove(victim)
 	}
 	var idx int32
@@ -796,6 +859,7 @@ func (c *Cache) faFill(block uint64, seg trace.Segment, dirty bool) (evicted Lin
 		idx = int32(len(c.faNodes))
 		c.faNodes = append(c.faNodes, faNode{line: Line{BlockAddr: block, Dirty: dirty, Seg: seg}})
 	}
+	c.refillSharers(int(idx), false)
 	c.faPushFront(idx)
 	c.faIndex[block] = idx
 	if ok && c.OnEvict != nil {

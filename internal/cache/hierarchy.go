@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"searchmem/internal/trace"
 )
@@ -96,6 +97,9 @@ type Hierarchy struct {
 	// instruction fetches (fetchL2 differs from dataL2 only under SplitL2).
 	dataL1, dataL2   [256]*Cache
 	fetchL1, fetchL2 [256]*Cache
+	// threadCore[t] is thread t's core (coreFor, precomputed): the bit it
+	// sets in the inclusive L3's core-presence masks.
+	threadCore [256]uint8
 	// l1Shift is the shared L1 block shift (L1-I and L1-D block sizes are
 	// validated equal), hoisted out of the batch loop.
 	l1Shift uint
@@ -211,6 +215,9 @@ func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
 		}
 	}
 	h.l3.OnEvict = h.onL3Evict
+	if cfg.L3Inclusive {
+		h.l3.trackSharers(cfg.Cores)
+	}
 	h.l1Shift = h.l1d[0].blockShift
 	h.memProbes = 2
 	if h.l4 != nil {
@@ -223,6 +230,7 @@ func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
 	}
 	for t := 0; t < 256; t++ {
 		core := h.coreFor(uint8(t))
+		h.threadCore[t] = uint8(core)
 		h.dataL1[t] = h.l1d[core]
 		h.fetchL1[t] = h.l1i[core]
 		h.dataL2[t] = h.l2[core]
@@ -243,14 +251,21 @@ func (h *Hierarchy) onL3Evict(l Line) {
 	dirty := l.Dirty
 	byteAddr := l.BlockAddr << h.l3.BlockShift()
 	if h.cfg.L3Inclusive {
-		// Invalidate every covered upper-level block; fold any dirty
-		// upper copy into the evicted line so the data is not lost.
-		for c := 0; c < h.cfg.Cores; c++ {
-			dirty = h.backInvalidate(h.l1i[c], byteAddr, int64(h.cfg.L3.BlockSize)) || dirty
-			dirty = h.backInvalidate(h.l1d[c], byteAddr, int64(h.cfg.L3.BlockSize)) || dirty
-			dirty = h.backInvalidate(h.l2[c], byteAddr, int64(h.cfg.L3.BlockSize)) || dirty
-			if h.cfg.SplitL2 {
-				dirty = h.backInvalidate(h.l2i[c], byteAddr, int64(h.cfg.L3.BlockSize)) || dirty
+		// Invalidate every covered upper-level block in the cores the
+		// victim's presence mask names; fold any dirty upper copy into the
+		// evicted line so the data is not lost. The mask is a superset of
+		// the cores holding the block, so every skipped probe would have
+		// missed (DESIGN.md §11).
+		span := int64(h.cfg.L3.BlockSize)
+		for w, m := range h.l3.evSharers {
+			for ; m != 0; m &= m - 1 {
+				c := w<<6 + bits.TrailingZeros64(m)
+				dirty = h.backInvalidate(h.l1i[c], byteAddr, span) || dirty
+				dirty = h.backInvalidate(h.l1d[c], byteAddr, span) || dirty
+				dirty = h.backInvalidate(h.l2[c], byteAddr, span) || dirty
+				if h.cfg.SplitL2 {
+					dirty = h.backInvalidate(h.l2i[c], byteAddr, span) || dirty
+				}
 			}
 		}
 	}
@@ -270,7 +285,7 @@ func (h *Hierarchy) onL3Evict(l Line) {
 // byteAddr+span) and reports whether any removed line was dirty.
 func (h *Hierarchy) backInvalidate(c *Cache, byteAddr uint64, span int64) bool {
 	dirty := false
-	step := uint64(c.Config().BlockSize)
+	step := uint64(1) << c.blockShift
 	for off := uint64(0); off < uint64(span); off += step {
 		if line, present := c.Invalidate(c.BlockAddr(byteAddr + off)); present {
 			c.Stats.BackInvalidations++
@@ -426,7 +441,7 @@ func (h *Hierarchy) AccessBatch(batch []trace.Access, levels []HitLevel) []HitLe
 			l1.Stats.Misses[seg][kind]++
 			var lvl HitLevel
 			if h.pred == nil {
-				lvl = h.missPath(l1, l2, b<<shift, seg, kind)
+				lvl = h.missPath(l1, l2, a.Thread, b<<shift, seg, kind)
 			} else {
 				lvl = h.predictPath(l1, l2, a.Thread, b<<shift, seg, kind)
 			}
@@ -451,14 +466,16 @@ func (h *Hierarchy) accessBlock(l1, l2 *Cache, thread uint8, byteAddr uint64, se
 	if h.pred != nil {
 		return h.predictPath(l1, l2, thread, byteAddr, seg, kind)
 	}
-	return h.missPath(l1, l2, byteAddr, seg, kind)
+	return h.missPath(l1, l2, thread, byteAddr, seg, kind)
 }
 
-// missPath services an access that already missed (and recorded its miss)
-// in l1: it probes L2/L3/L4 in order and performs the fill cascade,
-// returning the servicing level. Probes call touch directly and record
-// stats inline, skipping the Access wrapper frame per level.
-func (h *Hierarchy) missPath(l1, l2 *Cache, byteAddr uint64, seg trace.Segment, kind trace.Kind) HitLevel {
+// missPath services an access by thread that already missed (and recorded
+// its miss) in l1: it probes L2/L3/L4 in order and performs the fill
+// cascade, returning the servicing level. Probes call touch directly and
+// record stats inline, skipping the Access wrapper frame per level. An L2
+// miss fills the thread's core from the L3, so the core joins the L3
+// line's presence mask.
+func (h *Hierarchy) missPath(l1, l2 *Cache, thread uint8, byteAddr uint64, seg trace.Segment, kind trace.Kind) HitLevel {
 	write := kind == trace.Write
 	level := HitL2
 	hitL2 := l2.touch(l2.BlockAddr(byteAddr), write)
@@ -494,6 +511,7 @@ func (h *Hierarchy) missPath(l1, l2 *Cache, byteAddr uint64, seg trace.Segment, 
 			// take the no-rescan path.
 			h.l3.fillAbsent(h.l3.BlockAddr(byteAddr), seg, false)
 		}
+		h.l3.addSharer(h.l3.BlockAddr(byteAddr), int(h.threadCore[thread]))
 		// Fill the L2; dirty victims write back into the L3.
 		if ev, ok := l2.fillAbsent(l2.BlockAddr(byteAddr), seg, false); ok && ev.Dirty {
 			h.writeback(h.l3, ev.BlockAddr<<l2.BlockShift(), ev.Seg)
@@ -531,6 +549,7 @@ func (h *Hierarchy) InstallPrefetch(core int, byteAddr uint64, seg trace.Segment
 		}
 		h.l3.fillAbsent(h.l3.BlockAddr(byteAddr), seg, false)
 	}
+	h.l3.addSharer(h.l3.BlockAddr(byteAddr), core)
 	if ev, ok := l2.fillAbsent(l2.BlockAddr(byteAddr), seg, false); ok && ev.Dirty {
 		h.writeback(h.l3, ev.BlockAddr<<l2.BlockShift(), ev.Seg)
 	}

@@ -295,7 +295,7 @@ func (h *Hierarchy) predictPath(l1, l2 *Cache, thread uint8, byteAddr uint64, se
 	if pred == HitL4 && h.l4 == nil {
 		pred = HitMemory // stale L4 prediction on a hierarchy without one
 	}
-	actual := h.missPath(l1, l2, byteAddr, seg, kind)
+	actual := h.missPath(l1, l2, thread, byteAddr, seg, kind)
 	base := h.chainProbes(actual)
 	switch {
 	case !confident || pred <= HitL2:
