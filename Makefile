@@ -57,7 +57,7 @@ obs-demo:
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkSweep' -benchtime 1x -timeout 45m $(BENCHARGS) . | tee bench_sweep.out
 	$(GO) run ./cmd/benchjson -o BENCH_sweep.json bench_sweep.out
-	$(GO) test -run '^$$' -bench 'BenchmarkSharedReplay|BenchmarkCompressedDecode|BenchmarkHierarchyAccess|BenchmarkMultiSim|BenchmarkReplayerReplay' -timeout 30m $(BENCHARGS) . | tee bench_kernel.out
+	$(GO) test -run '^$$' -bench 'BenchmarkSharedReplay|BenchmarkCompressedDecode|BenchmarkHierarchyAccess|BenchmarkReplayerReplay' -timeout 30m $(BENCHARGS) . | tee bench_kernel.out
 	$(GO) run ./cmd/benchjson -o BENCH_kernel.json bench_kernel.out
 	$(GO) test -run '^$$' -bench 'BenchmarkMemSystem' -timeout 30m $(BENCHARGS) . | tee bench_mem.out
 	$(GO) run ./cmd/benchjson -o BENCH_mem.json bench_mem.out

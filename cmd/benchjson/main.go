@@ -8,6 +8,8 @@
 // (a previously written JSON artifact or raw bench text — auto-detected),
 // the positional argument or stdin supplies the new run, and the report
 // lists per-benchmark ns/op deltas and speedups plus any unmatched names.
+// Names match without go test's trailing -GOMAXPROCS suffix, so a baseline
+// recorded at -cpu 1 (no suffix) compares against a run on a 4-CPU runner.
 //
 // Usage:
 //
@@ -94,25 +96,43 @@ func loadResults(r io.Reader) ([]benchResult, error) {
 	return parse(bytes.NewReader(data))
 }
 
-// compareReport renders the per-benchmark ns/op comparison of two runs.
-// Matched benchmarks appear in the new run's order with delta and speedup;
-// names present in only one run are listed afterwards, so a renamed or
-// dropped benchmark cannot silently vanish from the report.
+// benchKey strips the -GOMAXPROCS suffix go test appends to a benchmark
+// name when GOMAXPROCS > 1 ("BenchmarkA/b-4" -> "BenchmarkA/b"). A name
+// whose last element itself ends in -<digits> is indistinguishable from a
+// suffixed one, so benchmarks are not named that way.
+func benchKey(name string) string {
+	i := strings.LastIndexByte(name, '-')
+	if i < 0 || i == len(name)-1 {
+		return name
+	}
+	for _, c := range name[i+1:] {
+		if c < '0' || c > '9' {
+			return name
+		}
+	}
+	return name[:i]
+}
+
+// compareReport renders the per-benchmark ns/op comparison of two runs,
+// matching names by benchKey. Matched benchmarks appear in the new run's
+// order with delta and speedup; names present in only one run are listed
+// afterwards, so a renamed or dropped benchmark cannot silently vanish from
+// the report.
 func compareReport(old, cur []benchResult) string {
 	oldNS := make(map[string]float64, len(old))
 	matched := make(map[string]bool, len(old))
 	for _, r := range old {
-		oldNS[r.Name] = r.Metrics["ns/op"]
+		oldNS[benchKey(r.Name)] = r.Metrics["ns/op"]
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-44s %14s %14s %9s %9s\n", "benchmark", "old ns/op", "new ns/op", "delta", "speedup")
 	for _, r := range cur {
 		ns := r.Metrics["ns/op"]
-		o, ok := oldNS[r.Name]
+		o, ok := oldNS[benchKey(r.Name)]
 		if !ok {
 			continue
 		}
-		matched[r.Name] = true
+		matched[benchKey(r.Name)] = true
 		delta, speedup := "n/a", "n/a"
 		if o > 0 {
 			delta = fmt.Sprintf("%+.1f%%", (ns-o)/o*100)
@@ -123,12 +143,12 @@ func compareReport(old, cur []benchResult) string {
 		fmt.Fprintf(&b, "%-44s %14.2f %14.2f %9s %9s\n", r.Name, o, ns, delta, speedup)
 	}
 	for _, r := range cur {
-		if _, ok := oldNS[r.Name]; !ok {
+		if _, ok := oldNS[benchKey(r.Name)]; !ok {
 			fmt.Fprintf(&b, "only in new: %s\n", r.Name)
 		}
 	}
 	for _, r := range old {
-		if !matched[r.Name] {
+		if !matched[benchKey(r.Name)] {
 			fmt.Fprintf(&b, "only in old: %s\n", r.Name)
 		}
 	}

@@ -89,6 +89,44 @@ func TestCompareReport(t *testing.T) {
 	}
 }
 
+// TestCompareIgnoresGOMAXPROCSSuffix matches a suffix-free baseline (as
+// written from a -cpu 1 run) against a run whose names carry go test's -4
+// suffix.
+func TestCompareIgnoresGOMAXPROCSSuffix(t *testing.T) {
+	old := []benchResult{
+		{Name: "BenchmarkHierarchyAccess/batched", Metrics: map[string]float64{"ns/op": 60}},
+		{Name: "BenchmarkHierarchyAccess/inclusive-23core", Metrics: map[string]float64{"ns/op": 62}},
+		{Name: "BenchmarkRunLoadEngine/heap/1000", Metrics: map[string]float64{"ns/op": 8}},
+	}
+	cur := []benchResult{
+		{Name: "BenchmarkHierarchyAccess/batched-4", Metrics: map[string]float64{"ns/op": 30}},
+		{Name: "BenchmarkHierarchyAccess/inclusive-23core-4", Metrics: map[string]float64{"ns/op": 62}},
+		{Name: "BenchmarkRunLoadEngine/heap/1000-4", Metrics: map[string]float64{"ns/op": 4}},
+	}
+	got := compareReport(old, cur)
+	if strings.Contains(got, "only in") {
+		t.Fatalf("suffixed names left unmatched:\n%s", got)
+	}
+	for _, want := range []string{"-50.0%", "+0.0%", "2.00x"} {
+		if !strings.Contains(got, want) {
+			t.Errorf("report missing %q:\n%s", want, got)
+		}
+	}
+	for name, want := range map[string]string{
+		"BenchmarkA-4":          "BenchmarkA",
+		"BenchmarkA/b-16":       "BenchmarkA/b",
+		"BenchmarkA/b":          "BenchmarkA/b",
+		"BenchmarkA/deep-off":   "BenchmarkA/deep-off",
+		"BenchmarkA/heap/1000":  "BenchmarkA/heap/1000",
+		"BenchmarkA/trailing-":  "BenchmarkA/trailing-",
+		"BenchmarkA/x-23core-4": "BenchmarkA/x-23core",
+	} {
+		if got := benchKey(name); got != want {
+			t.Errorf("benchKey(%q) = %q, want %q", name, got, want)
+		}
+	}
+}
+
 func TestParseStream(t *testing.T) {
 	in := "goos: linux\n" +
 		"BenchmarkSweepFig13/serial-4 \t 1\t 5000000 ns/op\n" +

@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"searchmem/internal/det"
-	"searchmem/internal/trace"
 )
 
 // requireZeroAllocs runs f through testing.AllocsPerRun (which performs one
@@ -69,20 +68,4 @@ func TestHierarchyAccessBatchZeroAlloc(t *testing.T) {
 			t.Fatalf("%s: %d levels for %d accesses", name, len(levels), len(batch))
 		}
 	}
-}
-
-// TestMultiSimDrainZeroAlloc pins the sweep driver end to end: one shared
-// flat recording decoded once per batch, replayed through several
-// hierarchies per batch.
-func TestMultiSimDrainZeroAlloc(t *testing.T) {
-	shared := trace.NewShared(batchEquivTrace(13, 20_000, 2))
-	m := NewMultiSim(
-		NewHierarchy(tinyHierarchy(2, nil)),
-		NewHierarchy(tinyHierarchy(2, &Config{Size: 32 << 10, BlockSize: 64, Assoc: 4})),
-	)
-	v := shared.View()
-	requireZeroAllocs(t, "multisim", func() {
-		v.Rewind()
-		m.Drain(v)
-	})
 }

@@ -81,37 +81,3 @@ func TestCompressedDrainEquivalence(t *testing.T) {
 		})
 	}
 }
-
-// TestMultiSimCompressedEquivalence re-runs the MultiSim single-decode sweep
-// from a compressed view: each hierarchy must end bit-identical to its
-// independent flat-view drain.
-func TestMultiSimCompressedEquivalence(t *testing.T) {
-	tr := batchEquivTrace(1234, 15000, 4)
-	sh := trace.NewShared(tr)
-
-	cfgs := make([]HierarchyConfig, 0, 4)
-	for i := 0; i < 4; i++ {
-		cfg := tinyHierarchy(2, nil)
-		cfg.L3.Size = int64(8+4*i) << 10
-		cfgs = append(cfgs, cfg)
-	}
-
-	refs := make([]map[string]any, len(cfgs))
-	for i, cfg := range cfgs {
-		h := NewHierarchy(cfg)
-		h.DrainBatch(sh.View())
-		refs[i] = snapHierarchy(h)
-	}
-
-	c := compressTrace(t, tr, 777, "")
-	hs := make([]*Hierarchy, len(cfgs))
-	for i, cfg := range cfgs {
-		hs[i] = NewHierarchy(cfg)
-	}
-	NewMultiSim(hs...).Drain(c.View())
-	for i, h := range hs {
-		if !reflect.DeepEqual(snapHierarchy(h), refs[i]) {
-			t.Fatalf("config %d: MultiSim over compressed view diverges", i)
-		}
-	}
-}

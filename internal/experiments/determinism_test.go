@@ -12,7 +12,7 @@ import (
 
 // goldenOutput holds the FNV-1a digest of each experiment's rendered
 // section at seed 42, Fast() scale, recorded on linux/amd64 before the
-// single-pass MultiSim sweep driver was retired. Other architectures may
+// single-pass multi-hierarchy sweep driver was retired. Other architectures may
 // fuse multiply-adds, so the digests are checked on amd64 only. A section
 // depends on the experiments run before it in the same Context (they share
 // memoized recordings of a stateful runner), so the -short id list has its

@@ -42,11 +42,9 @@ type l4Point struct {
 
 // sweepL4 simulates the direct-mapped victim L4 at each capacity behind a
 // 23 MiB-paper L3 (the rebalanced design of §IV-B). The capacities differ
-// only in L4 geometry, so contiguous shards of the sweep run through the
-// single-pass MeasureMulti kernel (one trace decode per shard, all its
-// hierarchies advanced per batch) and shards fan out across workers. The
-// result is memoized per associativity, so Figures 13 and 14 share one
-// simulation.
+// only in L4 geometry and replay one shared recording, one sweep point per
+// capacity. The result is memoized per associativity, so Figures 13 and 14
+// share one simulation.
 func sweepL4(c *Context, assoc int) []l4Point {
 	c.curveMu.Lock()
 	defer c.curveMu.Unlock()
@@ -71,7 +69,7 @@ func sweepL4(c *Context, assoc int) []l4Point {
 		mcs[i].L4Size = workload.SimUnits(mb << 20)
 	}
 	out := make([]l4Point, len(mcs))
-	for i, m := range measureMultiSharded(c, c.Sweep(), mcs) {
+	for i, m := range measurePoints(c, c.Sweep(), mcs) {
 		mb := fig13Capacities[i]
 		p := l4Point{capMiB: mb, hitRate: m.L4HitRate, instr: m.Instructions}
 		for seg := trace.Segment(0); seg < trace.NumSegments; seg++ {

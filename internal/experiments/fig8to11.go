@@ -49,9 +49,8 @@ func catSweep(c *Context) (xsHit, xsAMAT, ysIPC []float64) {
 	o := c.Opts
 	threads := min(o.Threads, 16)
 	cores := (threads + 1) / 2
-	// The ten way-allocations differ only in L3 partitioning, so they ride
-	// the single-pass MeasureMulti kernel: the shared leaf recording is
-	// decoded once per batch per shard instead of once per point.
+	// The ten way-allocations differ only in L3 partitioning and replay one
+	// shared leaf recording.
 	base := workload.MeasureConfig{
 		Platform: c.PLT1(),
 		Cores:    cores, SMTWays: 2, Threads: threads,
@@ -64,7 +63,7 @@ func catSweep(c *Context) (xsHit, xsAMAT, ysIPC []float64) {
 		mcs[i] = base
 		mcs[i].L3Ways = 2 + 2*i
 	}
-	for _, m := range measureMultiSharded(c, c.Leaf(), mcs) {
+	for _, m := range measurePoints(c, c.Leaf(), mcs) {
 		xsHit = append(xsHit, m.L3HitRate)
 		xsAMAT = append(xsAMAT, m.AMATNS)
 		ysIPC = append(ysIPC, m.IPC)

@@ -125,30 +125,13 @@ func runPoints[T any](c *Context, maxWorkers, n int, point func(i int) T) []T {
 	return out
 }
 
-// measureMultiSharded evaluates one MeasureConfig per index through
-// workload.MeasureMulti, sharding the list into contiguous groups across
-// the sweep workers. Each group simulates all its hierarchies in a single
-// pass over the shared recording — decoded once per batch, not once per
-// configuration — and groups replay concurrently under Options.Parallel.
-// The replay keys (all configs of a MeasureMulti call share them) are
-// pre-recorded serially, so recording order matches the serial engine and
-// results are byte-identical for any worker count.
-func measureMultiSharded(c *Context, r *workload.Replayer, mcs []workload.MeasureConfig) []workload.Metrics {
-	n := len(mcs)
-	if n == 0 {
-		return nil
+// measurePoints evaluates workload.Measure for each config over the shared
+// recording, one sweep point per config. The replay keys are pre-recorded
+// serially in config order, so recording order matches the serial engine
+// and results are byte-identical for any worker count.
+func measurePoints(c *Context, r *workload.Replayer, mcs []workload.MeasureConfig) []workload.Metrics {
+	for _, mc := range mcs {
+		workload.PreRecord(r, mc)
 	}
-	workload.PreRecord(r, mcs[0])
-	workers := c.sweepWorkers(n, 0)
-	if workers <= 1 {
-		return workload.MeasureMulti(r, mcs)
-	}
-	parts := runPoints(c, 0, workers, func(w int) []workload.Metrics {
-		return workload.MeasureMulti(r, mcs[w*n/workers:(w+1)*n/workers])
-	})
-	out := make([]workload.Metrics, 0, n)
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	return out
+	return runPoints(c, 0, len(mcs), func(i int) workload.Metrics { return workload.Measure(r, mcs[i]) })
 }

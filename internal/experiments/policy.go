@@ -16,8 +16,8 @@ import (
 // capacity, per level? figP2 measures the level predictor (PAPERS.md,
 // Jalili & Erez): how much of the probe chain can confident predictions
 // skip, and what the mispredict penalty costs in attributed-MPKI error.
-// Both ride the single-pass MeasureMulti kernel over the shared sweep
-// recording, byte-identical serial vs parallel.
+// Both replay the shared sweep recording, one sweep point per config,
+// byte-identical serial vs parallel.
 
 func init() {
 	register(Experiment{
@@ -149,8 +149,8 @@ type polSweepData struct {
 	points   []polPoint
 }
 
-// polSweep measures the all-LRU baseline and the level x policy grid in one
-// MeasureMulti pass over the shared sweep recording. Memoized per context.
+// polSweep measures the all-LRU baseline and the level x policy grid over
+// the shared sweep recording. Memoized per context.
 func polSweep(c *Context) (*polSweepData, error) {
 	c.curveMu.Lock()
 	defer c.curveMu.Unlock()
@@ -177,7 +177,7 @@ func polSweep(c *Context) (*polSweepData, error) {
 			pts = append(pts, polPoint{level: level, variant: v})
 		}
 	}
-	ms := measureMultiSharded(c, c.Sweep(), mcs)
+	ms := measurePoints(c, c.Sweep(), mcs)
 	for i := range pts {
 		pts[i].m = ms[i+1]
 		o.logf("figP1: %s %s: MPKI %.3f, IPC %.3f",
@@ -264,8 +264,8 @@ type predSweepData struct {
 }
 
 // predSweep measures the predictor-off baseline and the table-size x
-// confidence grid (plus one block-indexed row at the default shape) in one
-// MeasureMulti pass. Memoized per context.
+// confidence grid (plus one block-indexed row at the default shape) over
+// the shared sweep recording. Memoized per context.
 func predSweep(c *Context) (*predSweepData, error) {
 	c.curveMu.Lock()
 	defer c.curveMu.Unlock()
@@ -301,7 +301,7 @@ func predSweep(c *Context) (*predSweepData, error) {
 	mcs = append(mcs, mcBlock)
 	pts = append(pts, predPoint{bits: lastBits, conf: lastConf, block: true})
 
-	ms := measureMultiSharded(c, c.Sweep(), mcs)
+	ms := measurePoints(c, c.Sweep(), mcs)
 	for i := range pts {
 		pts[i].m = ms[i+1]
 		o.logf("figP2: bits %d conf %d block=%v: skip %.1f%%, mispredict %.2f%%",

@@ -16,9 +16,8 @@ import (
 // tiered-memory model — a DRAM bank/row-buffer near tier plus a
 // page-granular far tier with epoch-based placement — behind the rebalanced
 // L3+L4 hierarchy of §IV, exactly the way Figures 13/14 sweep L4 geometry:
-// all configurations ride the single-pass MeasureMulti kernel over the
-// shared sweep recording, sharded across the parallel engine with
-// byte-identical output.
+// every configuration replays the shared sweep recording as one point of
+// the parallel engine, with byte-identical output.
 
 func init() {
 	register(Experiment{
@@ -99,7 +98,7 @@ func tierPoliciesFor(o Options) ([]mem.PagePolicy, error) {
 
 // tierSweep measures the all-near baseline, derives the near-tier page
 // budgets from its touched-page population, and sweeps the capacity-split x
-// policy grid. Memoized per context; both phases ride measureMultiSharded.
+// policy grid. Memoized per context; both phases run through measurePoints.
 func tierSweep(c *Context) (*tierSweepData, error) {
 	c.curveMu.Lock()
 	defer c.curveMu.Unlock()
@@ -118,7 +117,7 @@ func tierSweep(c *Context) (*tierSweepData, error) {
 	// its traffic volume sizes the placement epoch.
 	base := tierBase(c)
 	base.Mem = &mem.Config{PageBytes: tierPageBytes}
-	baseline := measureMultiSharded(c, c.Sweep(), []workload.MeasureConfig{base})[0]
+	baseline := measurePoints(c, c.Sweep(), []workload.MeasureConfig{base})[0]
 	if baseline.Mem == nil || baseline.Mem.Pages == 0 {
 		return nil, fmt.Errorf("tier sweep: baseline measured no touched pages")
 	}
@@ -157,7 +156,7 @@ func tierSweep(c *Context) (*tierSweepData, error) {
 			pts = append(pts, tierPoint{nearFrac: frac, policy: pol})
 		}
 	}
-	for i, m := range measureMultiSharded(c, c.Sweep(), mcs) {
+	for i, m := range measurePoints(c, c.Sweep(), mcs) {
 		pts[i].m = m
 		o.logf("figT1: near %.3f %s: AMAT %.1f ns, far-shard-pages %.0f%%",
 			pts[i].nearFrac, pts[i].policy, m.AMATNS, 100*m.Mem.FarPageFrac(trace.Shard))
@@ -321,7 +320,7 @@ func runFigT2(c *Context) (Result, error) {
 			"mig GB/s", "far reads"},
 		Note: fmt.Sprintf("all-near baseline AMAT %s ns; short epochs react faster but migrate more", trimFloat(base.AMATNS)),
 	}
-	for i, m := range measureMultiSharded(c, c.Sweep(), mcs) {
+	for i, m := range measurePoints(c, c.Sweep(), mcs) {
 		st := m.Mem
 		t.AddRow(
 			cells[i].pol.String(),

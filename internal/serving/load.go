@@ -11,8 +11,7 @@ import (
 // state lives in preallocated struct-of-arrays (~36 bytes per client, so a
 // million modeled users fit in ~36 MB), and pending issue events sit in an
 // indexed binary min-heap of client ids keyed by (next issue time, id).
-// Pop and push are O(log n) against the old driver's O(n) linear min-scan,
-// and the whole per-event path — pop, Zipf draw, term synthesis, histogram
+// Pop and push are O(log n), and the whole per-event path — pop, Zipf draw, term synthesis, histogram
 // add, push — is allocation-free (//lint:hot kernels plus the ZeroAlloc
 // oracle in alloc_test.go).
 type loadEngine struct {
@@ -26,9 +25,9 @@ type loadEngine struct {
 	terms  [2]uint32 // scratch for the current query's term tuple
 }
 
-// newLoadEngine seeds per-client state exactly as the scan driver did:
-// client cl's popularity stream is NewRNG(seed+cl*977).Split(), reproduced
-// here through a stack RNG so construction allocates only the four arrays.
+// newLoadEngine seeds per-client state: client cl's popularity stream is
+// NewRNG(seed+cl*977).Split(), computed through a stack RNG so construction
+// allocates only the four arrays.
 func newLoadEngine(clients, vocabSize int, skew float64, seed uint64) *loadEngine {
 	e := &loadEngine{
 		next:   make([]float64, clients),
@@ -50,10 +49,9 @@ func newLoadEngine(clients, vocabSize int, skew float64, seed uint64) *loadEngin
 	return e
 }
 
-// less orders pending events by (issue time, client id). The id tie-break
-// reproduces the scan driver's "first strictly smaller wins" rule — on
-// equal times the lowest-indexed client goes first — so the heap pops the
-// exact issue sequence the linear scan produced.
+// less orders pending events by (issue time, client id): on equal times
+// the lowest-indexed client goes first, so the issue sequence is a total
+// order fixed by the seed.
 //
 //lint:hot
 func (e *loadEngine) less(a, b int32) bool {
@@ -128,7 +126,7 @@ func (e *loadEngine) heapify() {
 }
 
 // drawTerms synthesizes the client's next query: a Zipf-popular query id
-// expanded into the same two-term tuple the scan driver used.
+// expanded into a two-term tuple.
 //
 //lint:hot
 func (e *loadEngine) drawTerms(cl int32) []uint32 {
@@ -148,10 +146,8 @@ func (e *loadEngine) drawTerms(cl int32) []uint32 {
 // sequence — is therefore a pure function of the seed, never of goroutine
 // scheduling, for any client count (DESIGN.md §8).
 //
-// Since PR 10 the driver is the event-heap engine (DESIGN.md §16): results
-// are bit-identical to the original linear-scan driver, retained as
-// RunLoadScan and pinned equal by TestRunLoadMatchesScanEngine, at
-// O(log n) instead of O(n) per issued query.
+// The driver is the event-heap engine (DESIGN.md §16), O(log n) per issued
+// query; TestServeGolden pins its LoadStats and metrics.
 func RunLoad(c *Cluster, clients, queriesPerClient, vocabSize int, skew float64, seed uint64) LoadStats {
 	if clients <= 0 || queriesPerClient <= 0 || vocabSize <= 0 {
 		panic("serving: load parameters must be positive")
@@ -164,76 +160,6 @@ func RunLoad(c *Cluster, clients, queriesPerClient, vocabSize int, skew float64,
 		Seed:             seed,
 	})
 	return fs.LoadStats
-}
-
-// RunLoadScan is the pre-PR-10 reference driver: a per-query O(clients)
-// linear min-scan over client completion times, issuing through the
-// concurrent Serve path. It is retained as the equivalence baseline for
-// the event-heap engine (TestRunLoadMatchesScanEngine pins RunLoad ==
-// RunLoadScan bit-exactly) and as the benchmark's before side; new code
-// should call RunLoad.
-func RunLoadScan(c *Cluster, clients, queriesPerClient, vocabSize int, skew float64, seed uint64) LoadStats {
-	if clients <= 0 || queriesPerClient <= 0 || vocabSize <= 0 {
-		panic("serving: load parameters must be positive")
-	}
-	hist := stats.NewHistogram(8)
-	var partials int64
-	type client struct {
-		qsel   *stats.Zipf
-		nextNS float64 // virtual time at which the client's next query issues
-		issued int
-	}
-	cls := make([]client, clients)
-	for cl := range cls {
-		rng := stats.NewRNG(seed + uint64(cl)*977)
-		// Query popularity: a Zipf over "canned" query ids expanded
-		// into term tuples, modeling repeated popular queries.
-		cls[cl].qsel = stats.NewZipf(rng.Split(), uint64(vocabSize), skew)
-	}
-	// Serve charges congestion from the live in-flight count; park the
-	// other clients' standing queries there so each sequential call sees
-	// the full closed-loop occupancy.
-	c.mu.Lock()
-	c.inflight = int64(clients) - 1
-	c.mu.Unlock()
-	for done := 0; done < clients*queriesPerClient; done++ {
-		cl := -1
-		for i := range cls {
-			if cls[i].issued >= queriesPerClient {
-				continue
-			}
-			if cl < 0 || cls[i].nextNS < cls[cl].nextNS {
-				cl = i
-			}
-		}
-		qid := cls[cl].qsel.Next()
-		terms := []uint32{uint32(qid), uint32(qid>>3) % uint32(vocabSize)}
-		r := c.Serve(Query{Terms: terms})
-		hist.Add(r.LatencyNS)
-		if r.Partial {
-			partials++
-		}
-		cls[cl].nextNS += r.LatencyNS
-		cls[cl].issued++
-	}
-	c.mu.Lock()
-	c.inflight = 0
-	c.mu.Unlock()
-
-	mean := hist.Mean()
-	st := LoadStats{
-		Queries:        c.Queries,
-		CacheHits:      c.CacheHits,
-		PartialResults: partials,
-		MeanLatencyNS:  mean,
-		P50NS:          hist.Quantile(0.50),
-		P95NS:          hist.Quantile(0.95),
-		P99NS:          hist.Quantile(0.99),
-	}
-	if mean > 0 {
-		st.QPS = float64(clients) / (mean * 1e-9)
-	}
-	return st
 }
 
 // Burst multiplies a RateCurve's arrival rate by Factor inside

@@ -3,8 +3,6 @@ package serving
 import (
 	"math"
 	"testing"
-
-	"searchmem/internal/stats"
 )
 
 // healthyFaultFree builds a cluster whose leaves support outage injection
@@ -20,89 +18,6 @@ func healthyFaultFree(cfg Config, n int, seed uint64) *Cluster {
 	}
 	cfg.Leaves = n
 	return NewCluster(cfg, execs)
-}
-
-// TestRunLoadMatchesScanEngine is the event-heap engine's acceptance test:
-// RunLoad (heap + serial serve path) must be bit-exact with RunLoadScan
-// (linear min-scan + concurrent Serve) — same LoadStats and the same
-// Metrics snapshot, per config, per client count.
-func TestRunLoadMatchesScanEngine(t *testing.T) {
-	hedged := DefaultConfig()
-	hedged.LeafDeadlineNS = 8e6
-	hedged.HedgeDelayNS = 4e6
-	cases := []struct {
-		name string
-		mk   func() *Cluster
-	}{
-		{"healthy-cached", func() *Cluster { return testCluster(4096) }},
-		{"faulty-hedged", func() *Cluster { return faultyCluster(hedged, 12, 7) }},
-	}
-	clientCounts := []int{1, 8, 97}
-	if !testing.Short() && !raceDetectorOn {
-		clientCounts = append(clientCounts, 10000)
-	}
-	for _, cc := range cases {
-		for _, clients := range clientCounts {
-			qpc := 50
-			switch {
-			case clients >= 10000:
-				qpc = 2
-			case clients >= 97:
-				qpc = 4
-			}
-			ca := cc.mk()
-			a := RunLoad(ca, clients, qpc, 400, 1.1, 9)
-			cb := cc.mk()
-			b := RunLoadScan(cb, clients, qpc, 400, 1.1, 9)
-			if a != b {
-				t.Fatalf("%s clients=%d: heap engine %+v != scan engine %+v", cc.name, clients, a, b)
-			}
-			if ma, mb := ca.Metrics(), cb.Metrics(); ma != mb {
-				t.Fatalf("%s clients=%d: heap metrics %+v != scan metrics %+v", cc.name, clients, ma, mb)
-			}
-		}
-	}
-}
-
-// TestServeSerialMatchesServe pins the pooled serial serve path against the
-// concurrent Serve query by query: same docs, scores, latency, and flags
-// for the same cluster state, including cache hits, hedges, and dedup.
-func TestServeSerialMatchesServe(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.CacheSlots = 64
-	cfg.LeafDeadlineNS = 8e6
-	cfg.HedgeDelayNS = 4e6
-	cfg.LeafCapacity = 32
-	ca := faultyCluster(cfg, 12, 3)
-	cb := faultyCluster(cfg, 12, 3)
-	cb.driveMu.Lock()
-	defer cb.driveMu.Unlock()
-	cb.ensureScratch()
-
-	rng := stats.NewRNG(41)
-	zipf := stats.NewZipf(rng.Split(), 300, 1.1)
-	for q := 0; q < 400; q++ {
-		qid := zipf.Next()
-		terms := []uint32{uint32(qid), uint32(qid>>3) % 300}
-		ra := ca.Serve(Query{Terms: terms})
-		rb := cb.serveSerial(terms)
-		if ra.LatencyNS != rb.LatencyNS || ra.Partial != rb.Partial ||
-			ra.FromCache != rb.FromCache || ra.LeavesAnswered != rb.LeavesAnswered {
-			t.Fatalf("query %d: Serve %+v != serveSerial %+v", q, ra, rb)
-		}
-		if len(ra.Docs) != len(rb.Docs) {
-			t.Fatalf("query %d: result sizes %d != %d", q, len(ra.Docs), len(rb.Docs))
-		}
-		for i := range ra.Docs {
-			if ra.Docs[i] != rb.Docs[i] || ra.Scores[i] != rb.Scores[i] {
-				t.Fatalf("query %d result %d: (%d,%v) != (%d,%v)",
-					q, i, ra.Docs[i], ra.Scores[i], rb.Docs[i], rb.Scores[i])
-			}
-		}
-	}
-	if ma, mb := ca.Metrics(), cb.Metrics(); ma != mb {
-		t.Fatalf("metrics diverged: %+v != %+v", ma, mb)
-	}
 }
 
 // TestRunLoadDeterministicAtScale re-runs the determinism pin at a client
@@ -397,12 +312,12 @@ func TestCacheRingEviction(t *testing.T) {
 	s.put(5, one, sc) // evicts 1
 	s.put(6, one, sc) // evicts 2
 	for _, tag := range []uint64{3, 4, 5, 6} {
-		if _, _, ok := s.get(tag); !ok {
+		if _, _, ok := cacheGet(s, tag); !ok {
 			t.Fatalf("tag %d missing after wrap-around", tag)
 		}
 	}
 	for _, tag := range []uint64{1, 2} {
-		if _, _, ok := s.get(tag); ok {
+		if _, _, ok := cacheGet(s, tag); ok {
 			t.Fatalf("tag %d should have been evicted", tag)
 		}
 	}
@@ -428,7 +343,7 @@ func TestCacheRingBoundedUnderChurn(t *testing.T) {
 		t.Fatalf("count=%d len(data)=%d, want 8/8", s.count, len(s.data))
 	}
 	for tag := uint64(100000 - 8); tag < 100000; tag++ {
-		if _, _, ok := s.get(tag); !ok {
+		if _, _, ok := cacheGet(s, tag); !ok {
 			t.Fatalf("recent tag %d missing", tag)
 		}
 	}
@@ -441,14 +356,14 @@ func TestCacheOverwriteKeepsPosition(t *testing.T) {
 	s.put(10, []uint32{1}, []float32{1})
 	s.put(20, []uint32{2}, []float32{2})
 	s.put(10, []uint32{9}, []float32{9}) // overwrite, still the oldest
-	if d, _, ok := s.get(10); !ok || d[0] != 9 {
+	if d, _, ok := cacheGet(s, 10); !ok || d[0] != 9 {
 		t.Fatalf("overwrite not visible: %v %v", d, ok)
 	}
 	s.put(30, []uint32{3}, []float32{3}) // evicts 10, the oldest
-	if _, _, ok := s.get(10); ok {
+	if _, _, ok := cacheGet(s, 10); ok {
 		t.Fatal("overwritten tag should still evict first")
 	}
-	if _, _, ok := s.get(20); !ok {
+	if _, _, ok := cacheGet(s, 20); !ok {
 		t.Fatal("tag 20 evicted out of order")
 	}
 	if s.count != 2 || len(s.data) != 2 {
@@ -466,11 +381,11 @@ func TestCacheFlush(t *testing.T) {
 	if s.count != 0 || len(s.data) != 0 {
 		t.Fatalf("flush left count=%d len(data)=%d", s.count, len(s.data))
 	}
-	if _, _, ok := s.get(2); ok {
+	if _, _, ok := cacheGet(s, 2); ok {
 		t.Fatal("entry survived flush")
 	}
 	s.put(7, []uint32{7}, []float32{7})
-	if d, _, ok := s.get(7); !ok || d[0] != 7 {
+	if d, _, ok := cacheGet(s, 7); !ok || d[0] != 7 {
 		t.Fatal("cache unusable after flush")
 	}
 }

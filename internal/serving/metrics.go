@@ -76,17 +76,9 @@ func (e *mergeEvents) observe(o *leafOutcome) {
 }
 
 // reset clears the record for reuse, keeping the latency slice's capacity —
-// the serial serve path reuses one mergeEvents across queries.
+// the serve path reuses one mergeEvents across queries.
 func (e *mergeEvents) reset() {
 	*e = mergeEvents{attemptLatenciesNS: e.attemptLatenciesNS[:0]}
-}
-
-func (e *mergeEvents) add(o mergeEvents) {
-	e.hedges += o.hedges
-	e.hedgeWins += o.hedgeWins
-	e.failures += o.failures
-	e.timeouts += o.timeouts
-	e.attemptLatenciesNS = append(e.attemptLatenciesNS, o.attemptLatenciesNS...)
 }
 
 // clusterMetrics holds the cluster's instrument handles in the unified

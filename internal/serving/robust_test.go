@@ -279,9 +279,9 @@ func faultyCluster(cfg Config, n int, seed uint64) *Cluster {
 }
 
 // TestRaceFaultInjectedLoad is the -race stress test: the closed-loop load
-// drives the concurrent per-query leaf fan-out with fault injection,
-// deadlines and hedging all enabled (client concurrency is modeled in
-// virtual time; TestConcurrentServe covers truly concurrent Serve calls).
+// drives the serve path with fault injection, deadlines and hedging all
+// enabled (client concurrency is modeled in virtual time;
+// TestConcurrentServe covers truly concurrent Serve calls).
 func TestRaceFaultInjectedLoad(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.LeafDeadlineNS = 8e6

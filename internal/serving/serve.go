@@ -1,19 +1,25 @@
 package serving
 
-import "searchmem/internal/search"
+import (
+	"slices"
 
-// serveScratch holds every buffer the serial serve path needs, preallocated
-// once per cluster and reused query to query. It is owned by the
-// single-driver loops (RunLoad / RunScenario) under Cluster.driveMu; the
-// concurrent Serve path never touches it. Sizes derive from the config:
-// fan-out buffers cover the widest parent, result buffers cover TopK.
+	"searchmem/internal/search"
+)
+
+// serveScratch holds every buffer the serve path needs, preallocated once
+// per cluster and reused query to query under Cluster.driveMu. Attempt and
+// result buffers cover the widest parent and are reused parent to parent;
+// outcome slots cover every leaf (in shard order) and branch summaries
+// every parent, so a traced query can rebuild its span tree after the
+// merge.
 type serveScratch struct {
-	prim, hedges []attempt // per-leaf attempt slots
+	prim, hedges []attempt // per-fan-out-slot attempt slots
 	hedgeAt      []float64
-	outs         []leafOutcome
-	primDocs     [][]uint32 // per-leaf primary result buffers (TopK each)
+	outs         []leafOutcome   // per leaf, in shard order
+	branches     []branchSummary // per parent
+	primDocs     [][]uint32      // per-slot primary result buffers (TopK each)
 	primScores   [][]float32
-	hedgeDocs    [][]uint32 // per-leaf hedge result buffers
+	hedgeDocs    [][]uint32 // per-slot hedge result buffers
 	hedgeScores  [][]float32
 	bdocs        []uint32 // branch-merge drain (one parent at a time)
 	bscores      []float32
@@ -26,6 +32,13 @@ type serveScratch struct {
 	events       mergeEvents
 }
 
+// branchSummary is one parent's merge as the trace reports it.
+type branchSummary struct {
+	latNS    float64 // parent wait plus the two hops to and from it
+	answered int
+	partial  bool
+}
+
 func newServeScratch(cfg Config) *serveScratch {
 	f := cfg.Fanout
 	if cfg.Leaves < f {
@@ -36,7 +49,8 @@ func newServeScratch(cfg Config) *serveScratch {
 		prim:        make([]attempt, f),
 		hedges:      make([]attempt, f),
 		hedgeAt:     make([]float64, f),
-		outs:        make([]leafOutcome, f),
+		outs:        make([]leafOutcome, cfg.Leaves),
+		branches:    make([]branchSummary, (cfg.Leaves+cfg.Fanout-1)/cfg.Fanout),
 		primDocs:    make([][]uint32, f),
 		primScores:  make([][]float32, f),
 		hedgeDocs:   make([][]uint32, f),
@@ -70,22 +84,37 @@ func (c *Cluster) ensureScratch() {
 	}
 }
 
-// fanOutSerial is fanOutLeaves without goroutines, writing into scratch.
-// Per executor, the call order matches the concurrent phases exactly —
-// primaries in leaf order, then hedges in leaf order, each executor called
-// at most once per phase (a leaf's hedge goes to its own distinct sibling)
-// — so executors with internal RNG state draw the same sequences and the
-// resolved outcomes are identical to fanOutLeaves's.
-func (c *Cluster) fanOutSerial(p *parent, terms []uint32, congestion float64, s *serveScratch) []leafOutcome {
+// Serve runs one query through the full tree and returns the merged result
+// with its modeled latency. Calls are serialized on the cluster, so Serve
+// is safe for concurrent use; the returned slices are the caller's own.
+func (c *Cluster) Serve(q Query) Result {
+	c.driveMu.Lock()
+	defer c.driveMu.Unlock()
+	c.ensureScratch()
+	r := c.serveSerial(q.Terms)
+	r.Docs, r.Scores = slices.Clone(r.Docs), slices.Clone(r.Scores)
+	return r
+}
+
+// fanOut runs the parent's leaf calls with deadline and hedging semantics
+// in virtual time, writing outcomes into outs (one slot per leaf of p).
+// Primaries are called in leaf order, then hedged retries (to the next
+// sibling shard, a stand-in for a replica) in leaf order; each executor is
+// called at most once per phase, so executors with internal RNG state draw
+// a fixed sequence.
+func (c *Cluster) fanOut(p *parent, terms []uint32, congestion float64, s *serveScratch, outs []leafOutcome) {
 	deadline, hedgeDelay := c.cfg.LeafDeadlineNS, c.cfg.HedgeDelayNS
 	n := len(p.leaves)
 
 	prim := s.prim[:n]
 	for li := range p.leaves {
 		a := &prim[li]
-		a.docs, a.scores, a.lat, a.err = searchLeafBuf(p.leaves[li].exec, terms, s.primDocs[li], s.primScores[li])
+		a.docs, a.scores, a.lat, a.err = searchLeaf(p.leaves[li].exec, terms, s.primDocs[li], s.primScores[li])
 	}
 
+	// One hedged retry per leaf: issued at the hedge delay while the
+	// primary is still pending, or immediately when the primary fails
+	// first. Skipped when it could not possibly beat the deadline.
 	hedgeAt := s.hedgeAt[:n]
 	hedges := s.hedges[:n]
 	for li := range p.leaves {
@@ -103,26 +132,20 @@ func (c *Cluster) fanOutSerial(p *parent, terms []uint32, congestion float64, s 
 		if issueAt >= 0 && (deadline == 0 || issueAt < deadline) {
 			hedgeAt[li] = issueAt
 			a := &hedges[li]
-			a.docs, a.scores, a.lat, a.err = searchLeafBuf(p.leaves[(li+1)%n].exec, terms, s.hedgeDocs[li], s.hedgeScores[li])
+			a.docs, a.scores, a.lat, a.err = searchLeaf(p.leaves[(li+1)%n].exec, terms, s.hedgeDocs[li], s.hedgeScores[li])
 		}
 	}
 
-	outs := s.outs[:n]
 	resolveOutcomes(p, prim, hedges, hedgeAt, congestion, deadline, outs)
-	return outs
 }
 
-// serveSerial is Serve on the preallocated scratch path: the same latency
-// model, merges, counters, and metrics, with zero allocations per query
-// (enforced by the ZeroAlloc oracle in alloc_test.go). Callers must hold
-// driveMu; the returned Result's slices alias the scratch and are valid
-// only until the next serveSerial call. Traced clusters fall back to the
-// concurrent Serve — results are identical, and tracing needs the retained
-// per-leaf outcome slices that path builds.
+// serveSerial is the serve path behind Serve, RunLoad and RunScenario: the
+// latency model, merges, cache tier, metrics and tracing, with zero
+// allocations per untraced query (enforced by the ZeroAlloc oracle in
+// alloc_test.go). Callers must hold driveMu and have called ensureScratch;
+// the returned Result's slices alias the scratch and are valid only until
+// the next serveSerial call.
 func (c *Cluster) serveSerial(terms []uint32) Result {
-	if c.cfg.Tracer != nil {
-		return c.Serve(Query{Terms: terms})
-	}
 	s := c.scratch
 
 	c.mu.Lock()
@@ -143,6 +166,8 @@ func (c *Cluster) serveSerial(terms []uint32) Result {
 		c.mu.Unlock()
 	}()
 
+	tb := c.cfg.Tracer.Begin("query")
+
 	lat := c.cfg.FrontendOverheadNS
 	tag := cacheTag(terms)
 	probed := false
@@ -157,25 +182,33 @@ func (c *Cluster) serveSerial(terms []uint32) Result {
 			// documented contract (valid until the next call on this
 			// cluster); copying here would put an allocation on the
 			// zero-alloc event path.
+			lat += c.cfg.NetworkHopNS
+			if tb != nil {
+				c.emitCacheHitTrace(tb, lat)
+			}
 			//lint:ignore aliasret serveSerial results alias per-cluster scratch by contract; callers must consume before the next call
-			return Result{Docs: s.cdocs, Scores: s.cscores, FromCache: true, LatencyNS: lat + c.cfg.NetworkHopNS}
+			return Result{Docs: s.cdocs, Scores: s.cscores, FromCache: true, LatencyNS: lat}
 		}
 		lat += c.cfg.NetworkHopNS // cache miss probe
 	}
 	lat += c.cfg.RootOverheadNS
 
 	// Parents run one after another (virtual time makes concurrency a
-	// modeling question, not an execution one): each branch merges in leaf
-	// order into the branch selector, then feeds the root selector, in the
-	// same order Serve pushes branch results after its barrier.
+	// modeling question, not an execution one): a parallel hop costs its
+	// slowest child, each branch merges in leaf order into the branch
+	// selector, then feeds the root selector in parent order.
 	s.events.reset()
 	s.rootTK.Reset()
 	var worst float64
 	partial := false
 	answered := 0
-	for _, p := range c.parents {
-		outs := c.fanOutSerial(p, terms, congestion, s)
+	for pi, p := range c.parents {
+		first := p.leaves[0].id
+		outs := s.outs[first : first+len(p.leaves)]
+		c.fanOut(p, terms, congestion, s, outs)
 
+		// A winning hedge returns the sibling shard's docs, which duplicate
+		// the sibling's own answer — dedupe only then.
 		var seen map[uint32]struct{}
 		for i := range outs {
 			if outs[i].hedgeWon {
@@ -186,8 +219,7 @@ func (c *Cluster) serveSerial(terms []uint32) Result {
 		}
 		s.tk.Reset()
 		var wait float64
-		bpartial := false
-		banswered := 0
+		b := branchSummary{}
 		for i := range outs {
 			o := &outs[i]
 			if o.waitNS > wait {
@@ -195,10 +227,10 @@ func (c *Cluster) serveSerial(terms []uint32) Result {
 			}
 			s.events.observe(o)
 			if !o.answered {
-				bpartial = true
+				b.partial = true
 				continue
 			}
-			banswered++
+			b.answered++
 			for j := range o.docs {
 				// Disambiguate doc ids across shards.
 				id := o.docs[j]*uint32(c.cfg.Leaves) + uint32(o.srcLeaf)
@@ -212,12 +244,13 @@ func (c *Cluster) serveSerial(terms []uint32) Result {
 			}
 		}
 		bn := s.tk.ResultsInto(s.bdocs, s.bscores)
-		blat := wait + 2*c.cfg.NetworkHopNS
-		if blat > worst {
-			worst = blat
+		b.latNS = wait + 2*c.cfg.NetworkHopNS
+		s.branches[pi] = b
+		if b.latNS > worst {
+			worst = b.latNS
 		}
-		partial = partial || bpartial
-		answered += banswered
+		partial = partial || b.partial
+		answered += b.answered
 		for j := 0; j < bn; j++ {
 			s.rootTK.Push(s.bdocs[j], s.bscores[j])
 		}
@@ -234,5 +267,9 @@ func (c *Cluster) serveSerial(terms []uint32) Result {
 	}
 	c.metrics.recordServe(c.cfg.FrontendOverheadNS, probed, c.cfg.NetworkHopNS,
 		worst+2*c.cfg.NetworkHopNS, s.events, partial)
-	return Result{Docs: docs, Scores: scores, LatencyNS: lat, Partial: partial, LeavesAnswered: answered}
+	res := Result{Docs: docs, Scores: scores, LatencyNS: lat, Partial: partial, LeavesAnswered: answered}
+	if tb != nil {
+		c.emitServeTrace(tb, probed, congestion, res)
+	}
+	return res
 }

@@ -6,8 +6,9 @@
 // Time is virtual: every component charges modeled latency to the query and
 // parallel fan-out costs the maximum over children, which keeps simulations
 // deterministic and fast while producing realistic latency distributions.
-// Leaves within a parent execute on real goroutines, so the cluster is safe
-// for concurrent use and exercisable under `go test -race`.
+// There is one serve path: leaves run one after another on preallocated
+// scratch, in a fixed order, so results never depend on scheduling. Serve
+// serializes its callers, which makes the cluster safe for concurrent use.
 //
 // The tier is fault tolerant: each leaf call carries a virtual-time deadline
 // with one hedged retry to a sibling shard, and parents merge whatever
@@ -71,9 +72,9 @@ type FallibleExecutor interface {
 // serving: SearchBuf evaluates the query into the caller's buffers (whose
 // lengths must be at least the executor's result size) and returns the
 // result count. Results, latencies, and any internal RNG draw sequence must
-// be identical to Search/SearchErr on the same call sequence. The fleet
-// load engine (RunLoad / RunScenario) uses it on the serial serve path;
-// executors without it are called through Search and their results copied.
+// be identical to Search/SearchErr on the same call sequence. The serve
+// path uses it when available; executors without it are called through
+// SearchErr or Search.
 type BufferedExecutor interface {
 	SearchBuf(terms []uint32, docs []uint32, scores []float32) (n int, latencyNS float64, err error)
 }
@@ -85,25 +86,19 @@ type OutageExecutor interface {
 	SetDown(down bool)
 }
 
-// searchLeaf dispatches to the fallible interface when available.
-func searchLeaf(exec Executor, terms []uint32) ([]uint32, []float32, float64, error) {
-	if fe, ok := exec.(FallibleExecutor); ok {
-		return fe.SearchErr(terms)
-	}
-	docs, scores, lat := exec.Search(terms)
-	return docs, scores, lat, nil
-}
-
-// searchLeafBuf is searchLeaf for the pooled serial path: buffered
-// executors write straight into the caller's arrays, others fall back to
-// the allocating interfaces (their result slices are returned as-is; the
-// caller's buffers are then unused).
-func searchLeafBuf(exec Executor, terms []uint32, docs []uint32, scores []float32) ([]uint32, []float32, float64, error) {
+// searchLeaf calls one leaf: buffered executors write straight into the
+// caller's arrays, others go through the fallible or plain interface (their
+// result slices are returned as-is; the caller's buffers are then unused).
+func searchLeaf(exec Executor, terms []uint32, docs []uint32, scores []float32) ([]uint32, []float32, float64, error) {
 	if be, ok := exec.(BufferedExecutor); ok {
 		n, lat, err := be.SearchBuf(terms, docs, scores)
 		return docs[:n], scores[:n], lat, err
 	}
-	return searchLeaf(exec, terms)
+	if fe, ok := exec.(FallibleExecutor); ok {
+		return fe.SearchErr(terms)
+	}
+	d, sc, lat := exec.Search(terms)
+	return d, sc, lat, nil
 }
 
 // SyntheticExecutor is a deterministic stand-in for a real leaf engine:
@@ -245,10 +240,9 @@ type Config struct {
 	// (Cluster.Metrics works either way).
 	Registry *obs.Registry
 	// Tracer, when non-nil, records one distributed trace per served query.
-	// The span tree is reconstructed from the deterministic fan-out
-	// outcomes after the concurrent phase resolves, so span identity and
-	// timestamps are scheduling-independent; trace IDs follow Serve order
-	// (deterministic for single-driver runs).
+	// The span tree is reconstructed from the resolved fan-out outcomes
+	// after the merge; trace IDs follow serve order (deterministic for
+	// single-driver runs).
 	Tracer *obs.Tracer
 }
 
@@ -304,9 +298,8 @@ type Cluster struct {
 	metrics *clusterMetrics
 	reg     *obs.Registry
 
-	// driveMu serializes the single-driver loops (RunLoad, RunScenario),
-	// which share the preallocated scratch below; the concurrent Serve path
-	// never touches either.
+	// driveMu serializes Serve and the load loops (RunLoad, RunScenario),
+	// which share the preallocated scratch below.
 	driveMu sync.Mutex
 	scratch *serveScratch
 
@@ -424,66 +417,10 @@ type attempt struct {
 	err    error
 }
 
-// fanOutLeaves runs the parent's leaf calls with deadline and hedging
-// semantics in virtual time. Primaries run as one parallel phase, hedged
-// retries (to the next sibling shard, a stand-in for a replica) as a
-// second: within each phase every executor is called at most once, so
-// executors with internal RNG state draw in a deterministic order no
-// matter how the goroutines are scheduled.
-func (c *Cluster) fanOutLeaves(p *parent, terms []uint32, congestion float64) []leafOutcome {
-	deadline, hedgeDelay := c.cfg.LeafDeadlineNS, c.cfg.HedgeDelayNS
-	n := len(p.leaves)
-
-	prim := make([]attempt, n)
-	var wg sync.WaitGroup
-	for li := range p.leaves {
-		wg.Add(1)
-		go func(li int) {
-			defer wg.Done()
-			a := &prim[li]
-			a.docs, a.scores, a.lat, a.err = searchLeaf(p.leaves[li].exec, terms)
-		}(li)
-	}
-	wg.Wait()
-
-	// One hedged retry per leaf: issued at the hedge delay while the
-	// primary is still pending, or immediately when the primary fails
-	// first. Skipped when it could not possibly beat the deadline.
-	hedgeAt := make([]float64, n)
-	hedges := make([]attempt, n)
-	for li := range p.leaves {
-		hedgeAt[li] = -1
-		if hedgeDelay <= 0 || n < 2 {
-			continue
-		}
-		arrival := prim[li].lat * congestion
-		issueAt := -1.0
-		if prim[li].err != nil {
-			issueAt = arrival
-		} else if arrival > hedgeDelay {
-			issueAt = hedgeDelay
-		}
-		if issueAt >= 0 && (deadline == 0 || issueAt < deadline) {
-			hedgeAt[li] = issueAt
-			wg.Add(1)
-			go func(li int) {
-				defer wg.Done()
-				a := &hedges[li]
-				a.docs, a.scores, a.lat, a.err = searchLeaf(p.leaves[(li+1)%n].exec, terms)
-			}(li)
-		}
-	}
-	wg.Wait()
-
-	outs := make([]leafOutcome, n)
-	resolveOutcomes(p, prim, hedges, hedgeAt, congestion, deadline, outs)
-	return outs
-}
-
 // resolveOutcomes turns raw primary/hedge attempts into per-leaf outcomes
-// in virtual time. outs is caller-owned scratch, fully overwritten. The
-// logic is shared verbatim by the concurrent fan-out (Serve) and the serial
-// fan-out (serveSerial) so the two paths cannot drift.
+// in virtual time: which attempt answered, when the parent stopped waiting,
+// and the timeline the trace reports. outs is caller-owned scratch, fully
+// overwritten.
 func resolveOutcomes(p *parent, prim, hedges []attempt, hedgeAt []float64, congestion, deadline float64, outs []leafOutcome) {
 	n := len(p.leaves)
 	for li := range p.leaves {
@@ -537,157 +474,10 @@ func resolveOutcomes(p *parent, prim, hedges []attempt, hedgeAt []float64, conge
 	}
 }
 
-// Serve runs one query through the full tree and returns the merged result
-// with its modeled latency. Leaves execute on real goroutines; merging is
-// deterministic (leaf order) regardless of scheduling.
-func (c *Cluster) Serve(q Query) Result {
-	c.mu.Lock()
-	c.Queries++
-	c.inflight++
-	congestion := 1.0
-	if c.cfg.LeafCapacity > 0 {
-		rho := float64(c.inflight) / float64(c.cfg.LeafCapacity)
-		if rho > 0.95 {
-			rho = 0.95
-		}
-		congestion = 1 / (1 - rho)
-	}
-	c.mu.Unlock()
-	defer func() {
-		c.mu.Lock()
-		c.inflight--
-		c.mu.Unlock()
-	}()
-
-	tb := c.cfg.Tracer.Begin("query")
-	traced := tb != nil
-
-	lat := c.cfg.FrontendOverheadNS
-	tag := cacheTag(q.Terms)
-	probed := false
-	if c.cache != nil {
-		probed = true
-		if docs, scores, ok := c.cache.get(tag); ok {
-			c.mu.Lock()
-			c.CacheHits++
-			c.mu.Unlock()
-			c.metrics.recordCacheHit(c.cfg.FrontendOverheadNS, c.cfg.NetworkHopNS)
-			res := Result{Docs: docs, Scores: scores, FromCache: true, LatencyNS: lat + c.cfg.NetworkHopNS}
-			if traced {
-				c.emitCacheHitTrace(tb, res)
-			}
-			return res
-		}
-		lat += c.cfg.NetworkHopNS // cache miss probe
-	}
-	lat += c.cfg.RootOverheadNS
-
-	// Root fans out to parents, parents to leaves; parallel hops cost the
-	// slowest child, parents give up on a leaf at the deadline.
-	results := make([]branchResult, len(c.parents))
-	var wg sync.WaitGroup
-	for pi, p := range c.parents {
-		wg.Add(1)
-		go func(pi int, p *parent) {
-			defer wg.Done()
-			outs := c.fanOutLeaves(p, q.Terms, congestion)
-
-			// Merge in leaf order so results are deterministic no matter
-			// how the goroutines above were scheduled. A winning hedge
-			// returns the sibling shard's docs, which duplicate the
-			// sibling's own answer — dedupe only then, keeping the
-			// no-hedging path allocation-free.
-			var seen map[uint32]struct{}
-			for _, o := range outs {
-				if o.hedgeWon {
-					seen = make(map[uint32]struct{}, len(p.leaves)*c.cfg.TopK)
-					break
-				}
-			}
-			tk := search.NewTopK(c.cfg.TopK)
-			b := branchResult{}
-			if traced {
-				b.outs = outs
-			}
-			var wait float64
-			for _, o := range outs {
-				if o.waitNS > wait {
-					wait = o.waitNS
-				}
-				b.events.observe(&o)
-				if !o.answered {
-					b.partial = true
-					continue
-				}
-				b.answered++
-				for i := range o.docs {
-					// Disambiguate doc ids across shards.
-					id := o.docs[i]*uint32(c.cfg.Leaves) + uint32(o.srcLeaf)
-					if seen != nil {
-						if _, dup := seen[id]; dup {
-							continue
-						}
-						seen[id] = struct{}{}
-					}
-					tk.Push(id, o.scores[i])
-				}
-			}
-			b.docs, b.scores = tk.Results()
-			b.lat = wait + 2*c.cfg.NetworkHopNS
-			results[pi] = b
-		}(pi, p)
-	}
-	wg.Wait()
-
-	tk := search.NewTopK(c.cfg.TopK)
-	var worst float64
-	partial := false
-	answered := 0
-	var events mergeEvents
-	for _, b := range results {
-		if b.lat > worst {
-			worst = b.lat
-		}
-		partial = partial || b.partial
-		answered += b.answered
-		events.add(b.events)
-		for i := range b.docs {
-			tk.Push(b.docs[i], b.scores[i])
-		}
-	}
-	docs, scores := tk.Results()
-	lat += worst + 2*c.cfg.NetworkHopNS
-
-	// Degraded merges are never cached: a later identical query should get
-	// another chance at a full answer, not a pinned partial one.
-	if c.cache != nil && !partial {
-		c.cache.put(tag, docs, scores)
-	}
-	c.metrics.recordServe(c.cfg.FrontendOverheadNS, probed, c.cfg.NetworkHopNS,
-		worst+2*c.cfg.NetworkHopNS, events, partial)
-	res := Result{Docs: docs, Scores: scores, LatencyNS: lat, Partial: partial, LeavesAnswered: answered}
-	if traced {
-		c.emitServeTrace(tb, probed, congestion, results, res)
-	}
-	return res
-}
-
-// branchResult is one parent subtree's contribution to the root merge.
-type branchResult struct {
-	docs     []uint32
-	scores   []float32
-	lat      float64
-	partial  bool
-	answered int
-	events   mergeEvents
-	// outs is retained only when tracing, to reconstruct leaf spans.
-	outs []leafOutcome
-}
-
 // emitCacheHitTrace records the two-span trace of a cache-served query.
-func (c *Cluster) emitCacheHitTrace(tb *obs.TraceBuilder, res Result) {
+func (c *Cluster) emitCacheHitTrace(tb *obs.TraceBuilder, latencyNS float64) {
 	fe := c.cfg.FrontendOverheadNS
-	root := tb.Span(0, "query", 0, res.LatencyNS,
+	root := tb.Span(0, "query", 0, latencyNS,
 		obs.Bool("from_cache", true), obs.Bool("partial", false))
 	tb.Span(root, "frontend", 0, fe)
 	tb.Span(root, "cache-probe", fe, fe+c.cfg.NetworkHopNS, obs.Bool("hit", true))
@@ -695,15 +485,14 @@ func (c *Cluster) emitCacheHitTrace(tb *obs.TraceBuilder, res Result) {
 }
 
 // emitServeTrace reconstructs a full tree traversal's span tree from the
-// resolved fan-out outcomes. The virtual timeline mirrors the latency
-// model exactly: frontend, optional cache probe, root preprocessing, one
-// hop down to each parent, one hop down to each leaf, congested leaf
-// service, and the return hops; the root merge itself is free in the
-// model, so its span is an instant marking where the result assembled.
-// Because outcomes are resolved deterministically before any span exists,
-// the emitted tree is identical no matter how the fan-out goroutines were
-// scheduled.
-func (c *Cluster) emitServeTrace(tb *obs.TraceBuilder, probed bool, congestion float64, branches []branchResult, res Result) {
+// per-leaf outcomes and per-parent summaries the serve path left in the
+// scratch. The virtual timeline mirrors the latency model exactly:
+// frontend, optional cache probe, root preprocessing, one hop down to each
+// parent, one hop down to each leaf, congested leaf service, and the return
+// hops; the root merge itself is free in the model, so its span is an
+// instant marking where the result assembled.
+func (c *Cluster) emitServeTrace(tb *obs.TraceBuilder, probed bool, congestion float64, res Result) {
+	s := c.scratch
 	hop := c.cfg.NetworkHopNS
 	fe := c.cfg.FrontendOverheadNS
 	root := tb.Span(0, "query", 0, res.LatencyNS,
@@ -720,17 +509,17 @@ func (c *Cluster) emitServeTrace(tb *obs.TraceBuilder, probed bool, congestion f
 	fanStart := rootStart + c.cfg.RootOverheadNS
 	tb.Span(root, "root", rootStart, fanStart)
 	fan := tb.Span(root, "fanout", fanStart, res.LatencyNS,
-		obs.Int("parents", int64(len(branches))))
-	for pi := range branches {
-		b := &branches[pi]
+		obs.Int("parents", int64(len(c.parents))))
+	for pi, p := range c.parents {
+		b := &s.branches[pi]
 		pStart := fanStart + hop
-		ps := tb.Span(fan, fmt.Sprintf("parent[%d]", pi), pStart, pStart+b.lat,
-			obs.Int("leaves", int64(len(b.outs))),
+		ps := tb.Span(fan, fmt.Sprintf("parent[%d]", pi), pStart, pStart+b.latNS,
+			obs.Int("leaves", int64(len(p.leaves))),
 			obs.Int("answered", int64(b.answered)),
 			obs.Bool("partial", b.partial))
 		leafStart := pStart + hop
-		for li := range b.outs {
-			o := &b.outs[li]
+		for _, lf := range p.leaves {
+			o := &s.outs[lf.id]
 			tb.Span(ps, fmt.Sprintf("leaf[%d]/primary", o.primaryLeaf),
 				leafStart, leafStart+o.primaryArrivalNS,
 				obs.Int("shard", int64(o.primaryLeaf)),
@@ -772,7 +561,7 @@ func cacheTag(terms []uint32) uint64 {
 }
 
 // cacheServer is the cache tier: a sharded LRU map keyed by query tag.
-// Entries are defensively copied on both put and get: callers own the
+// Entries are defensively copied on both put and getInto: callers own the
 // slices in a Result and may mutate them, and a cached entry must survive
 // that (see TestCacheEntriesImmuneToCallerMutation).
 //
@@ -805,19 +594,8 @@ func newCacheServer(slots int) *cacheServer {
 	}
 }
 
-func (s *cacheServer) get(tag uint64) ([]uint32, []float32, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.data[tag]
-	if !ok {
-		return nil, nil, false
-	}
-	return append([]uint32(nil), e.docs...), append([]float32(nil), e.scores...), true
-}
-
 // getInto copies the entry for tag into the caller's buffers (reusing their
-// capacity) and reports whether it was present — the zero-allocation
-// counterpart of get, used by the pooled serial serve path.
+// capacity) and reports whether it was present.
 func (s *cacheServer) getInto(tag uint64, docs *[]uint32, scores *[]float32) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -110,17 +110,25 @@ func TestCacheEviction(t *testing.T) {
 	s.put(1, []uint32{1}, []float32{1})
 	s.put(2, []uint32{2}, []float32{1})
 	s.put(3, []uint32{3}, []float32{1})
-	if _, _, ok := s.get(1); ok {
+	if _, _, ok := cacheGet(s, 1); ok {
 		t.Fatal("oldest entry not evicted")
 	}
-	if _, _, ok := s.get(3); !ok {
+	if _, _, ok := cacheGet(s, 3); !ok {
 		t.Fatal("newest entry missing")
 	}
 	// Overwrite existing key must not grow the map.
 	s.put(3, []uint32{9}, []float32{2})
-	if docs, _, _ := s.get(3); docs[0] != 9 {
+	if docs, _, _ := cacheGet(s, 3); docs[0] != 9 {
 		t.Fatal("overwrite failed")
 	}
+}
+
+// cacheGet returns copies of the entry for tag, if present.
+func cacheGet(s *cacheServer, tag uint64) ([]uint32, []float32, bool) {
+	var docs []uint32
+	var scores []float32
+	ok := s.getInto(tag, &docs, &scores)
+	return docs, scores, ok
 }
 
 func TestMergePrefersBestScores(t *testing.T) {

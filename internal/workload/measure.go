@@ -203,6 +203,19 @@ func buildHierarchy(mc MeasureConfig) (h *cache.Hierarchy, sys *mem.System, l4Hi
 	return h, sys, l4Hit, l4Pen
 }
 
+// PreRecord records the replay keys a Measure call with mc will request —
+// the warmup run first, then the measured run — without replaying them.
+// Parallel sweeps call this serially before fanning out, so recording order
+// (the only stateful part of a Replayer) is pinned to the serial engine's
+// regardless of worker scheduling.
+func PreRecord(r *Replayer, mc MeasureConfig) {
+	mc.normalize()
+	if warm := int64(float64(mc.Budget) * mc.WarmupFraction); warm > 0 {
+		r.Record(mc.Threads, warm, mc.Seed^0xbeef)
+	}
+	r.Record(mc.Threads, mc.Budget, mc.Seed)
+}
+
 // Measure runs the workload against the configured hierarchy and reduces
 // the result through the calibrated core model.
 func Measure(r Runner, mc MeasureConfig) Metrics {

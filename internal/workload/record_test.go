@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -338,5 +339,51 @@ func TestMeasureWarmupSentinels(t *testing.T) {
 	}
 	if got := measure(NoWarmup); len(got) != 1 || got[0] != 1000 {
 		t.Fatalf("NoWarmup runs = %v, want [1000] (no warmup phase)", got)
+	}
+}
+
+// TestReplayBatchedInterleaving replays one recording through the scalar
+// and the batched sinks and requires the merged event sequence — accesses
+// and branches in delivery order — to be identical. This pins the batched
+// transport's contract: windows split exactly at branch anchors.
+func TestReplayBatchedInterleaving(t *testing.T) {
+	r := NewReplayer(tinyLeaf().Build())
+	type ev struct {
+		branch bool
+		a      trace.Access
+		thread uint8
+		pc     uint64
+		taken  bool
+	}
+	var scalar, batched []ev
+	st1 := r.Run(1, 100_000, 9, Sinks{
+		Access: func(a trace.Access) { scalar = append(scalar, ev{a: a}) },
+		Branch: func(th uint8, pc uint64, taken bool) {
+			scalar = append(scalar, ev{branch: true, thread: th, pc: pc, taken: taken})
+		},
+	})
+	batches := 0
+	st2 := r.Run(1, 100_000, 9, Sinks{
+		AccessBatch: func(b []trace.Access) {
+			batches++
+			for _, a := range b {
+				batched = append(batched, ev{a: a})
+			}
+		},
+		// Access must be ignored when AccessBatch is set: make any scalar
+		// delivery fail the equivalence below by duplicating events.
+		Access: func(a trace.Access) { batched = append(batched, ev{a: a}) },
+		Branch: func(th uint8, pc uint64, taken bool) {
+			batched = append(batched, ev{branch: true, thread: th, pc: pc, taken: taken})
+		},
+	})
+	if !reflect.DeepEqual(st1, st2) {
+		t.Fatalf("replay stats diverge: %+v vs %+v", st1, st2)
+	}
+	if len(scalar) == 0 || batches == 0 {
+		t.Fatal("degenerate run: no events or no batches delivered")
+	}
+	if !reflect.DeepEqual(scalar, batched) {
+		t.Fatalf("batched replay reorders events relative to scalar replay (%d vs %d events)", len(batched), len(scalar))
 	}
 }
