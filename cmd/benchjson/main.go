@@ -128,11 +128,12 @@ func compareReport(old, cur []benchResult) string {
 	fmt.Fprintf(&b, "%-44s %14s %14s %9s %9s\n", "benchmark", "old ns/op", "new ns/op", "delta", "speedup")
 	for _, r := range cur {
 		ns := r.Metrics["ns/op"]
-		o, ok := oldNS[benchKey(r.Name)]
+		k := benchKey(r.Name)
+		o, ok := oldNS[k]
 		if !ok {
 			continue
 		}
-		matched[benchKey(r.Name)] = true
+		matched[k] = true
 		delta, speedup := "n/a", "n/a"
 		if o > 0 {
 			delta = fmt.Sprintf("%+.1f%%", (ns-o)/o*100)

@@ -203,7 +203,7 @@ func (c *Cluster) serveSerial(terms []uint32) Result {
 	partial := false
 	answered := 0
 	for pi, p := range c.parents {
-		first := p.leaves[0].id
+		first := p.leaves[0].id // a parent's leaves are consecutive shards
 		outs := s.outs[first : first+len(p.leaves)]
 		c.fanOut(p, terms, congestion, s, outs)
 
