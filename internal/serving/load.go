@@ -147,7 +147,9 @@ func (e *loadEngine) drawTerms(cl int32) []uint32 {
 // scheduling, for any client count (DESIGN.md §8).
 //
 // The driver is the event-heap engine (DESIGN.md §16), O(log n) per issued
-// query; TestServeGolden pins its LoadStats and metrics.
+// query; TestRunLoadMatchesScanEngine pins it bit-exact against a linear
+// min-scan reference driver, and TestServeGolden pins its LoadStats and
+// metrics.
 func RunLoad(c *Cluster, clients, queriesPerClient, vocabSize int, skew float64, seed uint64) LoadStats {
 	if clients <= 0 || queriesPerClient <= 0 || vocabSize <= 0 {
 		panic("serving: load parameters must be positive")

@@ -3,6 +3,9 @@ package serving
 import (
 	"math"
 	"testing"
+
+	"searchmem/internal/obs"
+	"searchmem/internal/stats"
 )
 
 // healthyFaultFree builds a cluster whose leaves support outage injection
@@ -18,6 +21,165 @@ func healthyFaultFree(cfg Config, n int, seed uint64) *Cluster {
 	}
 	cfg.Leaves = n
 	return NewCluster(cfg, execs)
+}
+
+// scanLoad is an independent reference for RunLoad's event-heap engine: a
+// per-query O(clients) linear min-scan over client completion times that
+// issues through Serve. On equal times the first (lowest-indexed) client
+// wins, the order the heap's (time, id) key must reproduce.
+func scanLoad(c *Cluster, clients, queriesPerClient, vocabSize int, skew float64, seed uint64) LoadStats {
+	hist := stats.NewHistogram(8)
+	var partials int64
+	type client struct {
+		qsel   *stats.Zipf
+		nextNS float64 // virtual time at which the client's next query issues
+		issued int
+	}
+	cls := make([]client, clients)
+	for cl := range cls {
+		rng := stats.NewRNG(seed + uint64(cl)*977)
+		cls[cl].qsel = stats.NewZipf(rng.Split(), uint64(vocabSize), skew)
+	}
+	// Serve charges congestion from the live in-flight count; park the
+	// other clients' standing queries there so each sequential call sees
+	// the full closed-loop occupancy.
+	c.mu.Lock()
+	c.inflight = int64(clients) - 1
+	c.mu.Unlock()
+	for done := 0; done < clients*queriesPerClient; done++ {
+		cl := -1
+		for i := range cls {
+			if cls[i].issued >= queriesPerClient {
+				continue
+			}
+			if cl < 0 || cls[i].nextNS < cls[cl].nextNS {
+				cl = i
+			}
+		}
+		qid := cls[cl].qsel.Next()
+		r := c.Serve(Query{Terms: []uint32{uint32(qid), uint32(qid>>3) % uint32(vocabSize)}})
+		hist.Add(r.LatencyNS)
+		if r.Partial {
+			partials++
+		}
+		cls[cl].nextNS += r.LatencyNS
+		cls[cl].issued++
+	}
+	c.mu.Lock()
+	c.inflight = 0
+	c.mu.Unlock()
+
+	mean := hist.Mean()
+	st := LoadStats{
+		Queries:        c.Queries,
+		CacheHits:      c.CacheHits,
+		PartialResults: partials,
+		MeanLatencyNS:  mean,
+		P50NS:          hist.Quantile(0.50),
+		P95NS:          hist.Quantile(0.95),
+		P99NS:          hist.Quantile(0.99),
+	}
+	if mean > 0 {
+		st.QPS = float64(clients) / (mean * 1e-9)
+	}
+	return st
+}
+
+// TestRunLoadMatchesScanEngine is the event-heap engine's acceptance test:
+// RunLoad (heap + serve path) must be bit-exact with scanLoad (linear
+// min-scan + Serve) — same LoadStats and the same Metrics snapshot, per
+// config, per client count.
+func TestRunLoadMatchesScanEngine(t *testing.T) {
+	hedged := DefaultConfig()
+	hedged.LeafDeadlineNS = 8e6
+	hedged.HedgeDelayNS = 4e6
+	cases := []struct {
+		name string
+		mk   func() *Cluster
+	}{
+		{"healthy-cached", func() *Cluster { return testCluster(4096) }},
+		{"faulty-hedged", func() *Cluster { return faultyCluster(hedged, 12, 7) }},
+	}
+	clientCounts := []int{1, 8, 97}
+	if !testing.Short() && !raceDetectorOn {
+		clientCounts = append(clientCounts, 10000)
+	}
+	for _, cc := range cases {
+		for _, clients := range clientCounts {
+			qpc := 50
+			switch {
+			case clients >= 10000:
+				qpc = 2
+			case clients >= 97:
+				qpc = 4
+			}
+			ca := cc.mk()
+			a := RunLoad(ca, clients, qpc, 400, 1.1, 9)
+			cb := cc.mk()
+			b := scanLoad(cb, clients, qpc, 400, 1.1, 9)
+			if a != b {
+				t.Fatalf("%s clients=%d: heap engine %+v != scan engine %+v", cc.name, clients, a, b)
+			}
+			if ma, mb := ca.Metrics(), cb.Metrics(); ma != mb {
+				t.Fatalf("%s clients=%d: heap metrics %+v != scan metrics %+v", cc.name, clients, ma, mb)
+			}
+		}
+	}
+}
+
+// TestServeSerialMatchesServe pins Serve — traced, returning caller-owned
+// copies — against the untraced pooled serveSerial query by query: same
+// docs, scores, latency, and flags for the same cluster state, including
+// cache hits, hedges, and dedup, and the same metrics afterwards. Tracing
+// must observe the serve path without changing it.
+func TestServeSerialMatchesServe(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.CacheSlots = 64
+	cfg.LeafDeadlineNS = 8e6
+	cfg.HedgeDelayNS = 4e6
+	cfg.LeafCapacity = 32
+	traced := cfg
+	traced.Tracer = obs.NewTracer()
+	ca := faultyCluster(traced, 12, 3)
+	cb := faultyCluster(cfg, 12, 3)
+	cb.driveMu.Lock()
+	defer cb.driveMu.Unlock()
+	cb.ensureScratch()
+
+	rng := stats.NewRNG(41)
+	zipf := stats.NewZipf(rng.Split(), 300, 1.1)
+	var prev Result
+	for q := 0; q < 400; q++ {
+		qid := zipf.Next()
+		terms := []uint32{uint32(qid), uint32(qid>>3) % 300}
+		ra := ca.Serve(Query{Terms: terms})
+		rb := cb.serveSerial(terms)
+		if ra.LatencyNS != rb.LatencyNS || ra.Partial != rb.Partial ||
+			ra.FromCache != rb.FromCache || ra.LeavesAnswered != rb.LeavesAnswered {
+			t.Fatalf("query %d: Serve %+v != serveSerial %+v", q, ra, rb)
+		}
+		if len(ra.Docs) != len(rb.Docs) {
+			t.Fatalf("query %d: result sizes %d != %d", q, len(ra.Docs), len(rb.Docs))
+		}
+		for i := range ra.Docs {
+			if ra.Docs[i] != rb.Docs[i] || ra.Scores[i] != rb.Scores[i] {
+				t.Fatalf("query %d result %d: (%d,%v) != (%d,%v)",
+					q, i, ra.Docs[i], ra.Scores[i], rb.Docs[i], rb.Scores[i])
+			}
+		}
+		// Serve's result is the caller's: the next query must not
+		// overwrite it through the shared scratch.
+		if len(prev.Docs) > 0 && len(ra.Docs) > 0 && &prev.Docs[0] == &ra.Docs[0] {
+			t.Fatalf("query %d: Serve returned a slice aliasing the previous result", q)
+		}
+		prev = ra
+	}
+	if ma, mb := ca.Metrics(), cb.Metrics(); ma != mb {
+		t.Fatalf("metrics diverged: %+v != %+v", ma, mb)
+	}
+	if n := len(traced.Tracer.Traces()); n != 400 {
+		t.Fatalf("traced cluster recorded %d traces, want 400", n)
+	}
 }
 
 // TestRunLoadDeterministicAtScale re-runs the determinism pin at a client
