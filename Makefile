@@ -50,8 +50,10 @@ obs-demo:
 	$(GO) run ./cmd/searchsim -fast -trace fleetprof-trace.json -metrics fleetprof-metrics.json fleetprof
 
 # bench runs the sweep-engine before/after benchmarks (serial vs parallel,
-# DESIGN.md §10) and the batched-kernel microbenchmarks (DESIGN.md §11),
-# publishing them as BENCH_sweep.json / BENCH_kernel.json via cmd/benchjson.
+# DESIGN.md §10), the batched-kernel microbenchmarks (DESIGN.md §11) and
+# the index-build and workload-record layer benchmarks (DESIGN.md §3),
+# publishing them as BENCH_sweep.json / BENCH_kernel.json / BENCH_build.json
+# via cmd/benchjson.
 # Compare a fresh run against a saved artifact with
 # `go run ./cmd/benchjson -compare BENCH_kernel.json bench_kernel.out`.
 bench:
@@ -63,14 +65,19 @@ bench:
 	$(GO) run ./cmd/benchjson -o BENCH_mem.json bench_mem.out
 	$(GO) test -run '^$$' -bench 'BenchmarkRunLoadEngine|BenchmarkFleetMillionUsers' -benchtime 1x -timeout 30m $(BENCHARGS) . | tee bench_serve.out
 	$(GO) run ./cmd/benchjson -o BENCH_serve.json bench_serve.out
+	$(GO) test -run '^$$' -bench 'BenchmarkSearchBuild|BenchmarkWorkloadRecord' -cpu 1 -timeout 30m $(BENCHARGS) . | tee bench_build.out
+	$(GO) run ./cmd/benchjson -o BENCH_build.json bench_build.out
 
-# fuzz-smoke runs each trace-codec fuzz target briefly (seed corpus plus
-# $(FUZZTIME) of coverage-guided exploration per target). The contract under
-# test: decoders never panic and fail only with ErrBadTrace; valid streams
-# round-trip identically through the file and block codecs.
+# fuzz-smoke runs each fuzz target briefly (seed corpus plus $(FUZZTIME) of
+# coverage-guided exploration per target). The trace-codec contract:
+# decoders never panic and fail only with ErrBadTrace; valid streams
+# round-trip identically through the file and block codecs. The index-build
+# contract: an engine config that passes Validate builds without panicking,
+# twice byte-identically, into an index that decodes to a naive inversion.
 fuzz-smoke:
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzFileCodecDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzBlockDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzCodecRoundTrip$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/search -run '^$$' -fuzz '^FuzzSearchBuild$$' -fuzztime $(FUZZTIME)
 
 ci: build lint test race alloc-check fuzz-smoke

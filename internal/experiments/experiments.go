@@ -13,6 +13,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"time"
 
 	"searchmem/internal/det"
 	"searchmem/internal/obs"
@@ -222,7 +223,11 @@ func (c *Context) runner(key string, build func() workload.SearchWorkload) *work
 		return r
 	}
 	c.Opts.logf("building workload %s (shrink %d)...", key, c.Opts.Shrink)
+	//lint:ignore walltime -v progress timer only; the build time goes to Opts.Logf (stderr in cmd/searchsim), never into results, -metrics or -trace
+	start := time.Now()
 	r := workload.NewReplayer(build().Build())
+	//lint:ignore walltime -v progress timer only; reports host build time through Opts.Logf so memoized builds are not charged to the experiment that ran first
+	c.Opts.logf("built %s in %v", key, time.Since(start).Round(time.Millisecond))
 	if c.Opts.TraceCompress {
 		r.SetStore(workload.StoreConfig{
 			Compress: true,

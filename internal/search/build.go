@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"searchmem/internal/codegen"
 	"searchmem/internal/memsim"
@@ -150,48 +151,63 @@ func Build(cfg Config, space *memsim.Space, prog *codegen.Program) (*Engine, *Co
 		panic(err)
 	}
 	corpus := GenerateCorpus(cfg.Corpus)
-	lists := buildPostings(corpus)
+	inv := buildPostings(corpus)
+
+	// Size every serialized buffer exactly first, so each is allocated
+	// once and never grows.
+	postingBytes, numSkips := 0, 0
+	for t := 0; t < cfg.Corpus.VocabSize; t++ {
+		docs, tfs := inv.list(t)
+		prev := uint32(0)
+		for i, doc := range docs {
+			postingBytes += uvarintLen(doc-prev) + uvarintLen(tfs[i])
+			prev = doc
+		}
+		numSkips += (len(docs) + SkipInterval - 1) / SkipInterval
+	}
+	contentBytes := 0
+	for _, doc := range corpus.Docs {
+		for _, term := range doc {
+			contentBytes += uvarintLen(term)
+		}
+	}
 
 	// Serialize posting lists: per list, (docDelta, tf) uvarint pairs,
 	// with a skip entry every SkipInterval postings recording the byte
 	// offset and the restart document (the previous posting's doc, so
 	// delta decoding can resume mid-list).
-	var postings []byte
-	var skips []byte
+	postings := make([]byte, 0, postingBytes)
+	skips := make([]byte, numSkips*skipRecBytes)
 	dictRecs := make([]byte, cfg.Corpus.VocabSize*dictRecBytes)
-	var tmp [2 * binary.MaxVarintLen64]byte
-	var skipTmp [skipRecBytes]byte
-	for t, list := range lists {
+	skipOff := 0
+	for t := 0; t < cfg.Corpus.VocabSize; t++ {
+		docs, tfs := inv.list(t)
 		off := uint64(len(postings))
-		skipOff := uint64(len(skips))
-		prev := uint32(0)
-		for i, p := range list {
-			if i%SkipInterval == 0 {
-				binary.LittleEndian.PutUint64(skipTmp[:], uint64(len(postings))-off)
-				binary.LittleEndian.PutUint32(skipTmp[8:], prev)
-				binary.LittleEndian.PutUint32(skipTmp[12:], 0)
-				skips = append(skips, skipTmp[:]...)
-			}
-			n := binary.PutUvarint(tmp[:], uint64(p.doc-prev))
-			n += binary.PutUvarint(tmp[n:], uint64(p.tf))
-			postings = append(postings, tmp[:n]...)
-			prev = p.doc
-		}
 		rec := dictRecs[t*dictRecBytes:]
 		binary.LittleEndian.PutUint64(rec, off)
-		binary.LittleEndian.PutUint32(rec[8:], uint32(len(list)))
+		binary.LittleEndian.PutUint32(rec[8:], uint32(len(docs)))
+		binary.LittleEndian.PutUint64(rec[16:], uint64(skipOff))
+		prev := uint32(0)
+		for i, doc := range docs {
+			if i%SkipInterval == 0 {
+				binary.LittleEndian.PutUint64(skips[skipOff:], uint64(len(postings))-off)
+				binary.LittleEndian.PutUint32(skips[skipOff+8:], prev)
+				skipOff += skipRecBytes
+			}
+			postings = binary.AppendUvarint(postings, uint64(doc-prev))
+			postings = binary.AppendUvarint(postings, uint64(tfs[i]))
+			prev = doc
+		}
 		binary.LittleEndian.PutUint32(rec[12:], uint32(uint64(len(postings))-off))
-		binary.LittleEndian.PutUint64(rec[16:], skipOff)
 	}
 
 	// Serialize document content (term-id uvarints) and metadata.
-	var content []byte
+	content := make([]byte, 0, contentBytes)
 	metaRecs := make([]byte, cfg.Corpus.NumDocs*metaRecBytes)
 	for d, doc := range corpus.Docs {
 		off := uint64(len(content))
 		for _, term := range doc {
-			n := binary.PutUvarint(tmp[:], uint64(term))
-			content = append(content, tmp[:n]...)
+			content = binary.AppendUvarint(content, uint64(term))
 		}
 		rec := metaRecs[d*metaRecBytes:]
 		binary.LittleEndian.PutUint64(rec, off)
@@ -199,8 +215,9 @@ func Build(cfg Config, space *memsim.Space, prog *codegen.Program) (*Engine, *Co
 		binary.LittleEndian.PutUint32(rec[12:], uint32(len(doc)))
 	}
 
-	// Lay out the shard arena: postings then content.
-	shard := space.NewArena("shard", trace.Shard, len(postings)+len(content))
+	// Lay out the shard arena: postings then content. A corpus of empty
+	// documents serializes nothing, but an arena needs at least one byte.
+	shard := space.NewArena("shard", trace.Shard, max(len(postings)+len(content), 1))
 	e := &Engine{
 		cfg:       cfg,
 		space:     space,
@@ -278,6 +295,11 @@ func Build(cfg Config, space *memsim.Space, prog *codegen.Program) (*Engine, *Co
 	}
 	e.accumBase = heap.Alloc(cfg.MaxSessions*cfg.AccumSlots*accumSlot, 64)
 	return e, corpus
+}
+
+// uvarintLen returns the encoded length of x as a uvarint.
+func uvarintLen(x uint32) int {
+	return (bits.Len32(x|1) + 6) / 7
 }
 
 // cacheSlotBytes returns the query-cache slot size: tag u64 | count u32 |

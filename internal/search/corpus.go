@@ -69,7 +69,11 @@ type Corpus struct {
 	TotalTerms int64
 }
 
-// GenerateCorpus synthesizes a corpus from cfg.
+// GenerateCorpus synthesizes a corpus from cfg. Document lengths are drawn
+// from rng and terms from termDist's independent split stream, so drawing
+// every length first and then every term yields the same documents as
+// interleaving the two per document; the terms land in one flat array that
+// the documents slice.
 func GenerateCorpus(cfg CorpusConfig) *Corpus {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
@@ -77,18 +81,22 @@ func GenerateCorpus(cfg CorpusConfig) *Corpus {
 	rng := stats.NewRNG(cfg.Seed)
 	termDist := stats.NewZipf(rng.Split(), uint64(cfg.VocabSize), cfg.TermZipfSkew)
 	c := &Corpus{cfg: cfg, Docs: make([][]uint32, cfg.NumDocs)}
-	minLen := float64(cfg.AvgDocLen) / 3
-	maxLen := float64(cfg.AvgDocLen) * 12
-	for d := range c.Docs {
-		// Bounded Pareto with alpha tuned so the mean lands near
-		// AvgDocLen for these bounds.
-		n := int(rng.Pareto(minLen, maxLen, 1.75))
-		doc := make([]uint32, n)
-		for i := range doc {
-			doc[i] = uint32(termDist.Next())
-		}
-		c.Docs[d] = doc
-		c.TotalTerms += int64(n)
+	// Bounded Pareto with alpha tuned so the mean lands near AvgDocLen for
+	// these bounds.
+	docLen := stats.NewBoundedPareto(float64(cfg.AvgDocLen)/3, float64(cfg.AvgDocLen)*12, 1.75)
+	lens := make([]int, cfg.NumDocs)
+	for d := range lens {
+		lens[d] = int(docLen.Draw(rng))
+		c.TotalTerms += int64(lens[d])
+	}
+	terms := make([]uint32, c.TotalTerms)
+	for i := range terms {
+		terms[i] = uint32(termDist.Next())
+	}
+	off := 0
+	for d, n := range lens {
+		c.Docs[d] = terms[off : off+n : off+n]
+		off += n
 	}
 	return c
 }
@@ -104,39 +112,73 @@ func (c *Corpus) AvgDocLen() float64 {
 	return float64(c.TotalTerms) / float64(len(c.Docs))
 }
 
-// posting is one (document, term-frequency) pair during construction.
-type posting struct {
-	doc uint32
-	tf  uint32
+// postings is the inverted index in compressed sparse row form: term t's
+// posting list is docs[start[t]:start[t+1]], with the matching term
+// frequencies in tfs, sorted by document id.
+type postings struct {
+	start []int
+	docs  []uint32
+	tfs   []uint32
 }
 
-// buildPostings inverts the corpus into per-term posting lists, sorted by
-// document id (documents are processed in id order, so lists sort
-// naturally).
-func buildPostings(c *Corpus) [][]posting {
-	lists := make([][]posting, c.cfg.VocabSize)
-	// Count term frequencies per document with a reusable scratch map.
-	tfs := make(map[uint32]uint32, c.cfg.AvgDocLen)
+// list returns term t's documents and term frequencies.
+func (p *postings) list(t int) (docs, tfs []uint32) {
+	lo, hi := p.start[t], p.start[t+1]
+	return p.docs[lo:hi], p.tfs[lo:hi]
+}
+
+// buildPostings inverts the corpus by counting sort. Pass 1 counts each
+// term's document frequency, using a per-term stamp of the last document
+// that contained it, and a prefix sum turns the counts into list starts.
+// Pass 2 revisits the documents in id order and appends one posting per
+// (term, document) pair at the term's next free slot, bumping the tf of
+// that slot on repeats within a document. Visiting documents in id order
+// sorts every list by document.
+func buildPostings(c *Corpus) postings {
+	vocab := c.cfg.VocabSize
+	// last[t] is one more than the last document id that contained t
+	// (zero: none yet).
+	last := make([]uint32, vocab)
+	start := make([]int, vocab+1)
 	for d, doc := range c.Docs {
-		for k := range tfs {
-			delete(tfs, k)
-		}
+		stamp := uint32(d) + 1
 		for _, t := range doc {
-			tfs[t]++
-		}
-		//lint:ignore maporder each lists[t] gains one posting per document and documents are visited in id order, so every list stays doc-sorted regardless of term order (panic-checked below)
-		for t, tf := range tfs {
-			lists[t] = append(lists[t], posting{doc: uint32(d), tf: tf})
-		}
-	}
-	// Map iteration above randomizes intra-document term order, but lists
-	// stay sorted by doc because docs are visited in order; verify cheaply.
-	for t, list := range lists {
-		for i := 1; i < len(list); i++ {
-			if list[i].doc < list[i-1].doc {
-				panic(fmt.Sprintf("search: posting list %d not sorted", t))
+			if last[t] != stamp {
+				last[t] = stamp
+				start[t+1]++
 			}
 		}
 	}
-	return lists
+	for t := 0; t < vocab; t++ {
+		start[t+1] += start[t]
+	}
+	p := postings{start: start, docs: make([]uint32, start[vocab]), tfs: make([]uint32, start[vocab])}
+	// next[t] is the slot term t's next posting fills; next[t]-1 holds its
+	// posting for the current document once the stamp matches.
+	next := make([]int, vocab)
+	copy(next, start)
+	clear(last)
+	for d, doc := range c.Docs {
+		stamp := uint32(d) + 1
+		for _, t := range doc {
+			if last[t] == stamp {
+				p.tfs[next[t]-1]++
+				continue
+			}
+			last[t] = stamp
+			p.docs[next[t]] = uint32(d)
+			p.tfs[next[t]] = 1
+			next[t]++
+		}
+	}
+	// Lists sort by construction; verify cheaply.
+	for t := 0; t < vocab; t++ {
+		docs, _ := p.list(t)
+		for i := 1; i < len(docs); i++ {
+			if docs[i] <= docs[i-1] {
+				panic(fmt.Sprintf("search: posting list %d not strictly increasing", t))
+			}
+		}
+	}
+	return p
 }
